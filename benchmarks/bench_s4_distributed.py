@@ -2,13 +2,13 @@
 
 Measures what the distributed deployment costs relative to in-process
 sharded ingestion: the same stream is driven (a) through the sharding
-engine's thread pool, (b) through ``distributed_ingest`` over the file
-drop-box transport, and (c) over the TCP socket transport, with thread-
-and process-hosted workers.  Supplementary tables price the round
-protocol, the four state codecs (including the hybrid ``sparse-binary``),
-the coordinator's merge backends (serial vs thread tree vs GIL-free
-process tree), and the zero-copy shared-memory transport against its
-inlined-frame peers.  The states are asserted bit-identical to
+engine's thread pool, (b) through ``distributed_ingest`` (a one-round
+session of the round protocol) over the file drop-box transport, and (c)
+over the TCP socket transport, with thread- and process-hosted workers.
+Supplementary tables price the two-pass round protocol, the four state
+codecs (including the hybrid ``sparse-binary``), the coordinator's merge
+backends (serial vs thread tree vs GIL-free process tree), and the
+zero-copy shared-memory transport against its inlined-frame peers.  The states are asserted bit-identical to
 sequential ingestion at every point — the invariance contract survives
 crossing the wire — and the tables report the transport overhead
 (serialization + transport + merge) each deployment pays.
@@ -397,7 +397,6 @@ def test_s4_zerocopy_transport():
     two-pass round protocol.  Leftover segments are asserted gone
     afterwards — the bench doubles as the segment-GC regression check."""
     from repro.distributed.transport import FileTransport, ShmTransport
-    from repro.distributed.wire import state_message
 
     count = len(STREAM)
     sequential = _two_pass_estimator()
@@ -412,16 +411,17 @@ def test_s4_zerocopy_transport():
     sibling = _two_pass_estimator().spawn_sibling()
     sibling.update_batch(items[:half], deltas[:half])
     state = sibling.to_state(codec="binary")
-    dropbox_bytes = {"socket": len(dumps_frame(state_message(0, state)))}
+    frame = delta_message(0, 1, 0, state)
+    dropbox_bytes = {"socket": len(dumps_frame(frame))}
     for transport in ("file", "shm"):
         with tempfile.TemporaryDirectory(prefix="repro-bench-shm-") as rv:
             box = FileTransport(rv) if transport == "file" else ShmTransport(rv)
             if transport == "shm":
                 box.announce()
-            box.send(state_message(0, state))
+            box.send_round(frame)
             dropbox_bytes[transport] = sum(
                 p.stat().st_size
-                for p in pathlib.Path(rv).glob("msg-*.json")
+                for p in pathlib.Path(rv).glob("rmsg-*.json")
             )
             box.purge()
     # The zero-copy claim is structural, not hardware-dependent: the shm

@@ -11,10 +11,12 @@ bit for bit.
 
 Four escalating demonstrations:
 
-1. ``distributed_ingest()`` over the **file drop-box transport** — worker
-   states travel as JSON files, atomic-renamed into a rendezvous dir.
-2. The same over the **TCP socket transport** — length-prefixed JSON
-   frames to an ephemeral local port, workers in separate processes.
+1. ``distributed_ingest()`` over the **file drop-box transport** — a
+   one-round session of the round protocol: worker states travel as
+   round-1 frame files, atomic-renamed into a rendezvous dir.
+2. The same over the **TCP socket transport** — length-prefixed frames
+   over one persistent session per worker to an ephemeral local port,
+   workers in separate processes.
 3. The **zero-copy shared-memory transport** — binary-codec buffers ship
    through ``/dev/shm`` segments, only a small header crosses the
    drop-box; the coordinator pre-merges in a GIL-free process pool.

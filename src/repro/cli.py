@@ -10,13 +10,14 @@ ingest     measure scalar vs batch vs sharded ingestion throughput on a
            stream file (``--shards N`` exercises the parallel engine)
 worker     ingest one stream partition (or a whole shard file via
            ``--stream-file``) and ship the sketch state to a coordinator
-           (file drop-box or TCP socket transport); ``--passes 2`` joins
-           the coordinated two-pass round protocol, ``--delta-every N``
-           streams incremental state deltas
+           round by round (file drop-box, TCP socket or shared-memory
+           transport); ``--passes 2`` adds the second round of the
+           two-pass protocol, ``--delta-every N`` streams incremental
+           state deltas
 coordinate collect worker states, merge them, and report — bit-identical
            to single-machine ingestion (``--verify-stream`` proves it);
-           with ``--passes 2`` drives the round protocol: merge round-1
-           states, broadcast the merged candidates, merge round 2;
+           with ``--passes 2`` merges round-1 states, broadcasts the
+           merged candidates, and merges round 2;
            ``--merge-workers N`` folds frames through a parallel merge
            tree instead of the collector thread (``--merge-mode process``
            makes the tree GIL-free)
@@ -63,6 +64,7 @@ from repro.core.tractability import classify, zero_one_table
 from repro.functions.base import GFunction
 from repro.functions.library import catalog
 from repro.functions.registry import resolve_function
+from repro.sketch.codec import CODECS
 from repro.streams.generators import uniform_stream, zipf_stream
 from repro.streams.io import load_stream, save_stream
 
@@ -200,6 +202,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _sketch_spec(args: argparse.Namespace) -> dict:
     """The shared sketch spec both distributed commands build from their
     flags — every worker and the coordinator must agree on it."""
+    if args.passes == 2 and args.sketch != "gsum":
+        raise SystemExit("error: --passes 2 applies to --sketch gsum only")
     spec = {"kind": args.sketch, "seed": args.seed}
     if args.sketch == "countsketch":
         spec.update(rows=args.rows, buckets=args.buckets, track=args.track)
@@ -214,16 +218,6 @@ def _sketch_spec(args: argparse.Namespace) -> dict:
             passes=args.passes,
         )
     return spec
-
-
-def _round_mode(args: argparse.Namespace) -> bool:
-    """Whether the distributed commands speak the round protocol (round-
-    tagged delta frames over persistent sessions) rather than the one-shot
-    one-state-per-worker protocol.  Both sides must agree, so the same
-    flags decide it on the worker and the coordinator."""
-    if args.passes == 2 and args.sketch != "gsum":
-        raise SystemExit("error: --passes 2 applies to --sketch gsum only")
-    return args.passes == 2 or args.delta_every > 0
 
 
 def _add_distributed_args(p: argparse.ArgumentParser, worker: bool) -> None:
@@ -248,16 +242,15 @@ def _add_distributed_args(p: argparse.ArgumentParser, worker: bool) -> None:
     p.add_argument("--heaviness", type=float, default=0.05)
     p.add_argument("--repetitions", type=_positive_int, default=3)
     p.add_argument("--passes", type=int, choices=(1, 2), default=1,
-                   help="gsum: 1 = one-shot state shipping, 2 = the "
-                        "coordinated two-pass round protocol (candidate "
-                        "broadcast between rounds)")
+                   help="1 = one round (every worker ships its state), "
+                        "gsum only: 2 = the coordinated two-pass protocol "
+                        "(candidate broadcast between the two rounds)")
     p.add_argument("--delta-every", type=int, default=0,
                    help="ship an incremental state delta every N updates "
                         "(streaming merges over a persistent session; "
                         "0 = one state frame per round)")
-    codecs = ("dense-json", "sparse", "binary", "sparse-binary")
     if worker:
-        p.add_argument("--codec", choices=codecs, default=None,
+        p.add_argument("--codec", choices=CODECS, default=None,
                        help="state codec for shipped frames: dense-json "
                             "(compat baseline), sparse (nonzero cells "
                             "only — small deltas), binary (raw array "
@@ -269,7 +262,7 @@ def _add_distributed_args(p: argparse.ArgumentParser, worker: bool) -> None:
                             "in its round-2 broadcast (dense-json when "
                             "it advertises none)")
     else:
-        p.add_argument("--codec", choices=codecs, default="dense-json",
+        p.add_argument("--codec", choices=CODECS, default="dense-json",
                        help="this coordinator's preferred state codec: "
                             "used for reporting, and advertised to "
                             "workers in the round-2 broadcast so workers "
@@ -294,9 +287,10 @@ def _socket_address(rendezvous: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _state_summary(sketch, codec: str = "dense-json") -> str:
-    """One line a human can compare across machines: the compat digest
-    (what must match) and an estimate when the sketch has one."""
+def _state_summary(sketch, codec: str) -> str:
+    """The merged state in lines a human can compare across machines: the
+    compat digest (what must match), an estimate when the sketch has one,
+    and the serialized size under ``codec``."""
     from repro.sketch.base import dumps_state
 
     line = f"  compat digest: {sketch.compat_digest()}"
@@ -314,20 +308,16 @@ def _state_summary(sketch, codec: str = "dense-json") -> str:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.distributed.specs import build_sketch
     from repro.distributed.transport import (
-        FileTransport,
         FileWorkerSession,
-        ShmTransport,
         ShmWorkerSession,
         SocketSession,
-        SocketTransport,
     )
-    from repro.distributed.worker import run_worker, run_worker_rounds, worker_slice
+    from repro.distributed.worker import run_worker_rounds, worker_slice
 
     if not 0 <= args.worker_id < args.workers:
         raise SystemExit(
             f"error: --worker-id must be in [0, {args.workers})"
         )
-    round_mode = _round_mode(args)
     sketch = build_sketch(_sketch_spec(args))
     if args.stream_file is not None:
         # Many-files-per-worker mode: this worker owns its whole shard
@@ -336,12 +326,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             raise SystemExit(
                 "error: give either a shared stream or --stream-file, not both"
             )
-        items, deltas = load_stream(args.stream_file).as_arrays()
-        part_items, part_deltas = items, deltas
+        part_items, part_deltas = load_stream(args.stream_file).as_arrays()
         source = args.stream_file
     elif args.stream is not None:
-        stream = load_stream(args.stream)
-        items, deltas = stream.as_arrays()
+        items, deltas = load_stream(args.stream).as_arrays()
         part_items, part_deltas = worker_slice(
             items, deltas, args.worker_id, args.workers
         )
@@ -349,130 +337,88 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("error: a shared stream or --stream-file is required")
 
-    if round_mode:
-        if args.transport == "file":
-            session = FileWorkerSession(args.rendezvous)
-        elif args.transport == "shm":
-            session = ShmWorkerSession(args.rendezvous)
-        else:
-            host, port = _socket_address(args.rendezvous)
-            session = SocketSession(host, port, connect_timeout=args.timeout)
-        try:
-            run_worker_rounds(
-                sketch, part_items, part_deltas, args.worker_id, session,
-                chunk_size=args.chunk, delta_every=args.delta_every,
-                passes=args.passes, timeout=args.timeout, codec=args.codec,
-            )
-        finally:
-            session.close()
-        print(f"worker {args.worker_id}/{args.workers}: completed "
-              f"{args.passes}-pass round protocol over "
-              f"{part_items.shape[0]:,} updates from {source} "
-              f"via {args.transport} to {args.rendezvous}")
+    if args.transport == "file":
+        session = FileWorkerSession(args.rendezvous)
+    elif args.transport == "shm":
+        session = ShmWorkerSession(args.rendezvous)
     else:
-        if args.transport == "file":
-            transport = FileTransport(args.rendezvous)
-        elif args.transport == "shm":
-            transport = ShmTransport(args.rendezvous)
-        else:
-            host, port = _socket_address(args.rendezvous)
-            transport = SocketTransport(host, port, connect_timeout=args.timeout)
-        run_worker(
-            sketch, part_items, part_deltas, args.worker_id, transport,
-            chunk_size=args.chunk, codec=args.codec,
+        host, port = _socket_address(args.rendezvous)
+        session = SocketSession(host, port, connect_timeout=args.timeout)
+    try:
+        frames = run_worker_rounds(
+            sketch, part_items, part_deltas, args.worker_id, session,
+            chunk_size=args.chunk, delta_every=args.delta_every,
+            passes=args.passes, timeout=args.timeout, codec=args.codec,
         )
-        print(f"worker {args.worker_id}/{args.workers}: ingested "
-              f"{part_items.shape[0]:,} of {items.shape[0]:,} updates from "
-              f"{source}, state shipped via {args.transport} to "
-              f"{args.rendezvous}")
-    print(_state_summary(sketch, args.codec or "dense-json"))
+    finally:
+        session.close()
+    print(f"worker {args.worker_id}/{args.workers}: completed "
+          f"{args.passes}-pass round protocol over "
+          f"{part_items.shape[0]:,} updates from {source} "
+          f"via {args.transport} to {args.rendezvous}")
+    # ship_round feeds fresh siblings, never ``sketch`` itself, so its
+    # estimate and size say nothing about what this worker shipped.
+    print(f"  compat digest: {sketch.compat_digest()}")
+    for round_id, count in enumerate(frames, start=1):
+        print(f"  round {round_id}: {count} frame(s) shipped")
     return 0
 
 
 def _cmd_coordinate(args: argparse.Namespace) -> int:
-    from repro.distributed.coordinator import RoundCoordinator, coordinate
+    from repro.distributed.coordinator import RoundCoordinator
     from repro.distributed.specs import build_sketch
-    from repro.distributed.transport import (
-        FileTransport,
-        ShmTransport,
-        SocketHub,
-        SocketListener,
-    )
+    from repro.distributed.transport import FileTransport, ShmTransport, SocketHub
     from repro.sketch.base import dumps_state
 
-    round_mode = _round_mode(args)
     sketch = build_sketch(_sketch_spec(args))
-    if round_mode:
-        def run_rounds(channel) -> RoundCoordinator:
-            coordinator = RoundCoordinator(
-                sketch, channel, args.workers, timeout=args.timeout,
-                merge_workers=args.merge_workers,
-                merge_mode=args.merge_mode, codec=args.codec,
-            )
-            if args.passes == 2:
-                coordinator.run_two_pass()
-            else:
-                coordinator.run_single_pass()
-            return coordinator
 
-        if args.transport in ("file", "shm"):
-            if args.transport == "shm":
-                channel = ShmTransport(args.rendezvous)
-                channel.announce()  # beacon: prove same-hostness to workers
-            else:
-                channel = FileTransport(args.rendezvous)
-            # A leftover broadcast from a previous run on a reused
-            # rendezvous dir would advance fresh workers to a stale
-            # round 2; worker frames stay (workers may start first).
-            channel.purge_broadcasts()
-            coordinator = run_rounds(channel)
-            # Consume the merged frames: a reused rendezvous dir must not
-            # feed this run's frames (or shm segments) to the next run's
-            # coordinator.
-            channel.purge()
+    def run_rounds(channel) -> RoundCoordinator:
+        coordinator = RoundCoordinator(
+            sketch, channel, args.workers, timeout=args.timeout,
+            merge_workers=args.merge_workers,
+            merge_mode=args.merge_mode, codec=args.codec,
+        )
+        if args.passes == 2:
+            coordinator.run_two_pass()
         else:
-            host, port = _socket_address(args.rendezvous)
-            with SocketHub(host, port) as channel:
-                coordinator = run_rounds(channel)
-        for summary in coordinator.rounds:
-            frames = sum(summary["frames"].values())
-            print(f"round {summary['round']}: merged "
-                  f"{frames - summary['skipped']} delta frame(s) from "
-                  f"workers {summary['workers']} ({summary['stale']} stale, "
-                  f"{summary['skipped']} skipped)")
-        print(f"coordinator: completed {args.passes}-pass round protocol "
-              f"with {args.workers} workers via {args.transport} from "
-              f"{args.rendezvous}")
+            coordinator.run_single_pass()
+        return coordinator
+
+    if args.transport in ("file", "shm"):
+        if args.transport == "shm":
+            channel = ShmTransport(args.rendezvous)
+            channel.announce()  # beacon: prove same-hostness to workers
+        else:
+            channel = FileTransport(args.rendezvous)
+        # A leftover broadcast from a previous run on a reused rendezvous
+        # dir would advance fresh workers to a stale round 2; worker
+        # frames stay (workers may start first).
+        channel.purge_broadcasts()
+        coordinator = run_rounds(channel)
+        # Consume the merged frames: a reused rendezvous dir must not feed
+        # this run's frames (or shm segments) to the next run's
+        # coordinator.
+        channel.purge()
     else:
-        if args.transport in ("file", "shm"):
-            if args.transport == "shm":
-                collector = ShmTransport(args.rendezvous)
-                collector.announce()  # beacon: prove same-hostness
-            else:
-                collector = FileTransport(args.rendezvous)
-            coordinate(sketch, collector, args.workers, timeout=args.timeout,
-                       merge_workers=args.merge_workers,
-                       merge_mode=args.merge_mode)
-            # Consume the merged messages: a reused rendezvous dir must not
-            # feed this run's states (or shm segments) to the next run's
-            # coordinator.
-            collector.purge()
-        else:
-            host, port = _socket_address(args.rendezvous)
-            with SocketListener(host, port) as collector:
-                coordinate(sketch, collector, args.workers,
-                           timeout=args.timeout,
-                           merge_workers=args.merge_workers,
-                           merge_mode=args.merge_mode)
-        print(f"coordinator: merged {args.workers} worker states "
-              f"via {args.transport} from {args.rendezvous}")
+        host, port = _socket_address(args.rendezvous)
+        with SocketHub(host, port) as channel:
+            coordinator = run_rounds(channel)
+    for summary in coordinator.rounds:
+        frames = sum(summary["frames"].values())
+        print(f"round {summary['round']}: merged "
+              f"{frames - summary['skipped']} delta frame(s) from "
+              f"workers {summary['workers']} ({summary['stale']} stale, "
+              f"{summary['skipped']} skipped)")
+    print(f"coordinator: merged {args.workers} worker states in a "
+          f"{args.passes}-pass round protocol via {args.transport} from "
+          f"{args.rendezvous}")
     print(_state_summary(sketch, args.codec))
     if args.verify_stream is not None:
         reference = build_sketch(_sketch_spec(args))
         chunks = load_stream(args.verify_stream).iter_array_chunks(args.chunk)
         for items, deltas in chunks:
             reference.update_batch(items, deltas)
-        if round_mode and args.passes == 2:
+        if args.passes == 2:
             reference.begin_second_pass()
             chunks = load_stream(args.verify_stream).iter_array_chunks(
                 args.chunk
@@ -606,9 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "bit-identical to --shards 1)")
     p.add_argument("--shard-mode", choices=("thread", "process", "serial"),
                    default="thread")
-    p.add_argument("--codec",
-                   choices=("dense-json", "sparse", "binary", "sparse-binary"),
-                   default="dense-json",
+    p.add_argument("--codec", choices=CODECS, default="dense-json",
                    help="state codec for the reported serialized size")
     p.set_defaults(fn=_cmd_estimate)
 
@@ -635,9 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "many shards (state verified identical)")
     p.add_argument("--shard-mode", choices=("thread", "process", "serial"),
                    default="thread")
-    p.add_argument("--codec",
-                   choices=("dense-json", "sparse", "binary", "sparse-binary"),
-                   default="dense-json",
+    p.add_argument("--codec", choices=CODECS, default="dense-json",
                    help="state codec for the reported serialized size")
     p.set_defaults(fn=_cmd_ingest)
 
@@ -720,9 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refresh-interval", type=float, default=0.0,
                    help="minimum seconds between snapshot refreshes under "
                         "live ingestion (0 = refresh on every epoch advance)")
-    p.add_argument("--snapshot-codec",
-                   choices=("dense-json", "sparse", "binary", "sparse-binary"),
-                   default="sparse-binary",
+    p.add_argument("--snapshot-codec", choices=CODECS, default="sparse-binary",
                    help="state codec paid per copy-on-write snapshot")
     p.add_argument("--chunk", type=_positive_int, default=4096,
                    help="up-front ingestion chunk size (one epoch each)")

@@ -2,37 +2,36 @@
 
 N workers ingest disjoint stream partitions into sibling sketches and ship
 their serialized states (:meth:`~repro.sketch.base.MergeableSketch.to_state`
-JSON) to a merging coordinator — over a file drop-box or a TCP socket
-transport.  Because every sketch's merge is exact, the coordinator ends
-bit-identical to single-machine ingestion; the transports only decide
-*how* states travel, never *what* the answer is.
+JSON or binary frames) to a merging coordinator — over a file drop-box, a
+TCP socket, or a same-host shared-memory transport.  Because every
+sketch's merge is exact, the coordinator ends bit-identical to
+single-machine ingestion; the transports only decide *how* states travel,
+never *what* the answer is.
 
-Two protocols share the machinery:
-
-* the **one-shot** protocol (:func:`distributed_ingest`): each worker
-  ships one state frame per connection/file and the coordinator merges a
-  batch of them;
-* the **round protocol** (:func:`distributed_two_pass`,
-  :class:`~repro.distributed.coordinator.RoundCoordinator`): persistent
-  sessions carry round-tagged streaming delta frames up and candidate
-  broadcasts down, so the coordinator can drive the paper's full two-pass
-  G-sum algorithm across machines — round 1 merges first-pass states, the
-  merged candidate cover is broadcast back, round 2 merges exact
-  second-pass tabulations, bit-identical to single-machine
-  :meth:`~repro.core.gsum.GSumEstimator.run`.
+One protocol carries every job: the **round protocol**
+(:class:`~repro.distributed.coordinator.RoundCoordinator`,
+:func:`~repro.distributed.worker.run_worker_rounds`).  Persistent
+sessions carry round-tagged delta frames up and candidate broadcasts
+down.  A 1-pass job (:func:`distributed_ingest`, ``repro worker`` /
+``repro coordinate`` without ``--passes 2``) is a one-round session:
+round 1 merges every worker's state, as one frame or as streaming
+deltas.  The paper's full two-pass G-sum algorithm
+(:func:`distributed_two_pass`, ``--passes 2``) adds a second round: the
+merged first-pass candidate cover is broadcast back, and round 2 merges
+the exact second-pass tabulations, bit-identical to single-machine
+:meth:`~repro.core.gsum.GSumEstimator.run`.
 
 Entry points: :func:`distributed_ingest` / :func:`distributed_two_pass`
 (single-call local drivers), ``repro worker`` / ``repro coordinate``
-(multi-machine CLI, ``--passes 2`` for the round protocol), and the
-building blocks (:mod:`~repro.distributed.wire`,
-:mod:`~repro.distributed.transport`, :mod:`~repro.distributed.worker`,
-:mod:`~repro.distributed.coordinator`).  Architecture and wire-format
-documentation: ``docs/ARCHITECTURE.md``.
+(multi-machine CLI), and the building blocks
+(:mod:`~repro.distributed.wire`, :mod:`~repro.distributed.transport`,
+:mod:`~repro.distributed.worker`, :mod:`~repro.distributed.coordinator`).
+Architecture and wire-format documentation: ``docs/ARCHITECTURE.md``.
 """
 
-from repro.distributed.coordinator import RoundCoordinator, coordinate, merge_states
+from repro.distributed.coordinator import RoundCoordinator
 from repro.distributed.driver import distributed_ingest, distributed_two_pass
-from repro.distributed.merger import MergePool, merge_tree
+from repro.distributed.merger import MergePool
 from repro.distributed.specs import build_sketch
 from repro.distributed.transport import (
     CollectTimeout,
@@ -42,9 +41,7 @@ from repro.distributed.transport import (
     ShmTransport,
     ShmWorkerSession,
     SocketHub,
-    SocketListener,
     SocketSession,
-    SocketTransport,
     TransportTimeout,
     WorkerFailure,
     host_token,
@@ -57,11 +54,9 @@ from repro.distributed.wire import (
     round_begin_message,
     round_end_message,
     send_frame,
-    state_message,
 )
 from repro.distributed.worker import (
     partition_bounds,
-    run_worker,
     run_worker_rounds,
     ship_round,
     worker_slice,
@@ -77,29 +72,22 @@ __all__ = [
     "ShmTransport",
     "ShmWorkerSession",
     "SocketHub",
-    "SocketListener",
     "SocketSession",
-    "SocketTransport",
     "TransportTimeout",
     "WorkerFailure",
     "build_sketch",
-    "coordinate",
     "delta_message",
     "delta_skipped_message",
     "distributed_ingest",
     "distributed_two_pass",
     "error_message",
     "host_token",
-    "merge_states",
-    "merge_tree",
     "partition_bounds",
     "recv_frame",
     "round_begin_message",
     "round_end_message",
-    "run_worker",
     "run_worker_rounds",
     "send_frame",
     "ship_round",
-    "state_message",
     "worker_slice",
 ]

@@ -1,28 +1,23 @@
-"""The coordinator side: collect worker states, merge, answer.
+"""The coordinator side: collect worker frames round by round, merge, answer.
 
-Two protocols share this module:
-
-**One-shot** (:func:`coordinate` / :func:`merge_states`): wait on a
-transport until every expected worker has published a state envelope, then
-fold the states in through the mergeable-sketch protocol.  ``from_state``
-validates each payload against the coordinator's own compatibility digest
+:class:`RoundCoordinator` drives an explicit state machine over
+persistent worker channels.  Round 1 collects every worker's first-pass
+state — as one frame or as streaming delta frames merged the moment they
+land.  A 1-pass job ends there (:meth:`RoundCoordinator.run_single_pass`).
+For two-pass estimation the coordinator then closes pass one
+(``begin_second_pass``), **broadcasts the merged candidate export back to
+every worker**, and round 2 collects the candidate-restricted second-pass
+states (:meth:`RoundCoordinator.run_two_pass`).  ``from_state`` validates
+each frame against the coordinator's own compatibility digest
 (configuration + randomness lineage + hash fingerprints), so a worker
-built from a different spec or seed is rejected *before* anything merges;
-``merge`` then adds the states.
-
-**Round protocol** (:class:`RoundCoordinator`): the coordinator drives an
-explicit state machine over persistent worker channels.  Round 1 collects
-every worker's first-pass state — as one frame or as streaming delta
-frames merged the moment they land — then, for two-pass estimation, the
-coordinator closes pass one (``begin_second_pass``), **broadcasts the
-merged candidate export back to every worker**, and round 2 collects the
-candidate-restricted second-pass states.  Because every merge is exact and
-the candidate sets are identical on all machines, the final state is
-bit-identical to single-machine 2-pass ingestion
-(:meth:`repro.core.gsum.GSumEstimator.run`).  Per-round timeouts surface
-stragglers (:class:`~repro.distributed.transport.TransportTimeout` names
-the missing workers); duplicate or future-round frames are rejected and
-stale retransmits are dropped and counted (see
+built from a different spec or seed is rejected *before* anything merges.
+Because every merge is exact and the candidate sets are identical on all
+machines, the final state is bit-identical to single-machine ingestion
+(:meth:`repro.core.gsum.GSumEstimator.run` for two passes).  Per-round
+timeouts surface stragglers
+(:class:`~repro.distributed.transport.TransportTimeout` names the missing
+workers); duplicate or future-round frames are rejected and stale
+retransmits are dropped and counted (see
 :class:`~repro.distributed.transport.RoundTracker`).
 """
 
@@ -30,55 +25,14 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.distributed.merger import MergePool, merge_tree
+from repro.distributed.merger import MergePool
 from repro.distributed.wire import (
     ROUND_FIRST_PASS,
     ROUND_SECOND_PASS,
     round_begin_message,
 )
 
-__all__ = ["merge_states", "coordinate", "RoundCoordinator"]
-
-
-def merge_states(
-    structure,
-    messages: List[dict],
-    merge_workers: int = 0,
-    merge_mode: str = "thread",
-):
-    """Fold a list of ``state`` envelopes into ``structure`` (in worker-id
-    order — irrelevant to the result, since merges commute, but canonical
-    for debugging).  ``merge_workers > 1`` folds them through the parallel
-    merge tree (:mod:`repro.distributed.merger`) instead — bit-identical,
-    but decode + pre-merge run concurrently (``merge_mode="process"``
-    makes that concurrency GIL-free).  Returns ``structure``."""
-    if merge_workers > 1:
-        return merge_tree(
-            structure, (m["state"] for m in messages), merge_workers,
-            mode=merge_mode,
-        )
-    for message in messages:
-        sibling = structure.from_state(message["state"])
-        structure.merge(sibling)
-    return structure
-
-
-def coordinate(
-    structure,
-    collector,
-    workers: int,
-    timeout: float = 120.0,
-    merge_workers: int = 0,
-    merge_mode: str = "thread",
-):
-    """Run one coordination round: wait for ``workers`` states on
-    ``collector`` (a :class:`~repro.distributed.transport.FileTransport`
-    or :class:`~repro.distributed.transport.SocketListener`), merge them
-    into ``structure`` (serially, or through the merge tree when
-    ``merge_workers > 1`` — in ``merge_mode`` ``"thread"`` or
-    ``"process"``), and return it."""
-    messages = collector.collect(workers, timeout=timeout)
-    return merge_states(structure, messages, merge_workers, merge_mode)
+__all__ = ["RoundCoordinator"]
 
 
 class RoundCoordinator:

@@ -1,13 +1,14 @@
 """Single-call drivers: distributed ingestion on one machine.
 
-:func:`distributed_ingest` runs the one-shot coordinator/worker dataflow —
-partition the stream, ingest each partition into a sibling sketch in a
-worker, ship every worker's ``to_state()`` through a real transport,
-collect and merge on the coordinator — with all participants hosted
-locally (threads or processes).  :func:`distributed_two_pass` runs the
-full **round protocol** the same way: round 1 merges first-pass states
-(optionally as streaming delta frames), the coordinator broadcasts the
-merged candidate export, and round 2 merges the candidate-restricted
+Both drivers run the **round protocol** with all participants hosted
+locally (threads or processes): partition the stream, hand each worker a
+sibling sketch and a session, and let a
+:class:`~repro.distributed.coordinator.RoundCoordinator` collect and
+merge.  :func:`distributed_ingest` is a one-round session — every worker
+ships its partition's state and the coordinator merges it.
+:func:`distributed_two_pass` runs two rounds: round 1 merges first-pass
+states (optionally as streaming delta frames), the coordinator broadcasts
+the merged candidate export, and round 2 merges the candidate-restricted
 second passes — bit-identical to single-machine
 :meth:`~repro.core.gsum.GSumEstimator.run`.  The states cross an actual
 file system, TCP socket, or shared-memory segment either way, so this
@@ -26,37 +27,22 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Iterable
 
-from repro.distributed.coordinator import RoundCoordinator, merge_states
+from repro.distributed.coordinator import RoundCoordinator
 from repro.distributed.transport import (
     FileTransport,
     FileWorkerSession,
     ShmTransport,
     ShmWorkerSession,
     SocketHub,
-    SocketListener,
     SocketSession,
-    SocketTransport,
 )
-from repro.distributed.worker import run_worker, run_worker_rounds, worker_slice
+from repro.distributed.worker import run_worker_rounds, worker_slice
 from repro.streams.batching import DEFAULT_CHUNK
 from repro.streams.model import StreamUpdate, TurnstileStream
 from repro.streams.sharding import as_columnar, supports_sharding
 
 TRANSPORTS = ("file", "socket", "shm")
 WORKER_MODES = ("thread", "process")
-
-
-def _spawned_worker(args):
-    """Module-level so process mode can pickle it: run one worker end to
-    end in a child process (the sibling arrives pickled, the state leaves
-    through the transport like any remote worker's would)."""
-    (sibling, items, deltas, worker_id, transport, chunk_size, second_pass,
-     codec) = args
-    run_worker(
-        sibling, items, deltas, worker_id, transport, chunk_size, second_pass,
-        codec=codec,
-    )
-    return worker_id
 
 
 def _validate_common(structure, workers: int, transport: str, mode: str) -> None:
@@ -80,7 +66,6 @@ def distributed_ingest(
     transport: str = "file",
     mode: str = "thread",
     chunk_size: int = DEFAULT_CHUNK,
-    second_pass: bool = False,
     rendezvous: str | None = None,
     timeout: float = 120.0,
     codec: str | None = None,
@@ -88,8 +73,9 @@ def distributed_ingest(
     merge_mode: str = "thread",
 ):
     """Ingest ``stream`` into ``structure`` through ``workers`` distributed
-    workers over a real transport; the merged state is bit-identical to
-    sequential ingestion.  Returns ``structure``.
+    workers over a real transport, as a one-round session of the round
+    protocol; the merged state is bit-identical to sequential ingestion.
+    Returns ``structure``.
 
     Parameters
     ----------
@@ -109,9 +95,6 @@ def distributed_ingest(
         ``"thread"`` hosts workers on a thread pool; ``"process"`` on a
         process pool (siblings must pickle — see
         :mod:`repro.functions.registry` for estimators).
-    second_pass:
-        Drive ``update_batch_second_pass`` on phase-cloned siblings (the
-        distributed analogue of sharded two-pass ingestion).
     codec:
         State codec every worker ships under (``dense-json`` default,
         ``sparse``, ``binary``, ``sparse-binary`` — see
@@ -125,59 +108,12 @@ def distributed_ingest(
         (default) or ``"process"`` (GIL-free pre-merging).
     """
     _validate_common(structure, workers, transport, mode)
-    if second_pass and not hasattr(structure, "update_batch_second_pass"):
-        raise TypeError(
-            f"{type(structure).__name__} has no update_batch_second_pass"
-        )
-
-    items, deltas = as_columnar(stream, chunk_size)
-    siblings = [structure.spawn_sibling() for _ in range(workers)]
-    partitions = [worker_slice(items, deltas, i, workers) for i in range(workers)]
-
-    tempdir = None
-    listener = None
-    drop_box = None
-    try:
-        if transport in ("file", "shm"):
-            if rendezvous is None:
-                tempdir = tempfile.TemporaryDirectory(prefix="repro-dist-")
-                rendezvous = tempdir.name
-            transport_cls = ShmTransport if transport == "shm" else FileTransport
-            drop_box = transport_cls(rendezvous)
-            drop_box.purge()
-            if transport == "shm":
-                drop_box.announce()  # local run: every worker is same-host
-            sender = drop_box
-            collector = drop_box
-        else:
-            listener = SocketListener()
-            host, port = listener.address
-            sender = SocketTransport(host, port)
-            collector = listener
-
-        pool_cls = ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(
-                    _spawned_worker,
-                    (sib, part[0], part[1], i, sender, chunk_size,
-                     second_pass, codec),
-                )
-                for i, (sib, part) in enumerate(zip(siblings, partitions))
-            ]
-            # Collect concurrently: socket workers hand their frames to the
-            # listener as they finish, file workers drop files we poll for.
-            messages = collector.collect(workers, timeout=timeout)
-            for job in jobs:
-                job.result()  # surface worker exceptions with tracebacks
-        return merge_states(structure, messages, merge_workers, merge_mode)
-    finally:
-        if listener is not None:
-            listener.close()
-        if transport == "shm" and drop_box is not None:
-            drop_box.purge()  # unlink every segment this run created
-        if tempdir is not None:
-            tempdir.cleanup()
+    return _run_session(
+        structure, stream, workers, transport, mode, chunk_size,
+        delta_every=0, passes=1, rendezvous=rendezvous, timeout=timeout,
+        codec=codec, merge_workers=merge_workers, merge_mode=merge_mode,
+        advertise_codec=None,
+    )
 
 
 def _spawned_round_worker(args):
@@ -201,6 +137,71 @@ def _spawned_round_worker(args):
     finally:
         session.close()
     return worker_id
+
+
+def _run_session(
+    structure, stream, workers, transport, mode, chunk_size, delta_every,
+    passes, rendezvous, timeout, codec, merge_workers, merge_mode,
+    advertise_codec,
+):
+    """Host a ``passes``-round session locally: ``workers`` workers (on a
+    thread or process pool) ingest their partitions into siblings of
+    ``structure`` and ship them through ``transport`` to a
+    :class:`~repro.distributed.coordinator.RoundCoordinator` that merges
+    into ``structure``.  The channel, temp dir and shm segments are torn
+    down whatever happens.  Returns ``structure``."""
+    items, deltas = as_columnar(stream, chunk_size)
+    siblings = [structure.spawn_sibling() for _ in range(workers)]
+    partitions = [worker_slice(items, deltas, i, workers) for i in range(workers)]
+
+    tempdir = None
+    hub = None
+    channel = None
+    try:
+        if transport in ("file", "shm"):
+            if rendezvous is None:
+                tempdir = tempfile.TemporaryDirectory(prefix="repro-dist-")
+                rendezvous = tempdir.name
+            transport_cls = ShmTransport if transport == "shm" else FileTransport
+            channel = transport_cls(rendezvous)
+            channel.purge()
+            if transport == "shm":
+                channel.announce()  # local run: every worker is same-host
+            endpoint = rendezvous
+        else:
+            hub = SocketHub()
+            channel = hub
+            endpoint = hub.address
+
+        pool_cls = ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
+        with pool_cls(max_workers=workers) as pool:
+            jobs = [
+                pool.submit(
+                    _spawned_round_worker,
+                    (sib, part[0], part[1], i, transport, endpoint,
+                     chunk_size, delta_every, passes, timeout, codec),
+                )
+                for i, (sib, part) in enumerate(zip(siblings, partitions))
+            ]
+            coordinator = RoundCoordinator(
+                structure, channel, workers, timeout,
+                merge_workers=merge_workers, merge_mode=merge_mode,
+                codec=advertise_codec,
+            )
+            if passes == 2:
+                coordinator.run_two_pass()
+            else:
+                coordinator.run_single_pass()
+            for job in jobs:
+                job.result()  # surface worker exceptions with tracebacks
+        return structure
+    finally:
+        if hub is not None:
+            hub.close()
+        if transport == "shm" and channel is not None:
+            channel.purge()  # unlink every segment this run created
+        if tempdir is not None:
+            tempdir.cleanup()
 
 
 def distributed_two_pass(
@@ -256,52 +257,9 @@ def distributed_two_pass(
                 "protocol needs the two-pass candidate hooks"
             )
 
-    items, deltas = as_columnar(stream, chunk_size)
-    siblings = [structure.spawn_sibling() for _ in range(workers)]
-    partitions = [worker_slice(items, deltas, i, workers) for i in range(workers)]
-
-    tempdir = None
-    hub = None
-    channel = None
-    try:
-        if transport in ("file", "shm"):
-            if rendezvous is None:
-                tempdir = tempfile.TemporaryDirectory(prefix="repro-dist-")
-                rendezvous = tempdir.name
-            transport_cls = ShmTransport if transport == "shm" else FileTransport
-            channel = transport_cls(rendezvous)
-            channel.purge()
-            if transport == "shm":
-                channel.announce()  # local run: every worker is same-host
-            endpoint = rendezvous
-        else:
-            hub = SocketHub()
-            channel = hub
-            endpoint = hub.address
-
-        pool_cls = ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(
-                    _spawned_round_worker,
-                    (sib, part[0], part[1], i, transport, endpoint,
-                     chunk_size, delta_every, 2, timeout, codec),
-                )
-                for i, (sib, part) in enumerate(zip(siblings, partitions))
-            ]
-            coordinator = RoundCoordinator(
-                structure, channel, workers, timeout,
-                merge_workers=merge_workers, merge_mode=merge_mode,
-                codec=advertise_codec,
-            )
-            coordinator.run_two_pass()
-            for job in jobs:
-                job.result()  # surface worker exceptions with tracebacks
-        return structure
-    finally:
-        if hub is not None:
-            hub.close()
-        if transport == "shm" and channel is not None:
-            channel.purge()  # unlink every segment this run created
-        if tempdir is not None:
-            tempdir.cleanup()
+    return _run_session(
+        structure, stream, workers, transport, mode, chunk_size,
+        delta_every=delta_every, passes=2, rendezvous=rendezvous,
+        timeout=timeout, codec=codec, merge_workers=merge_workers,
+        merge_mode=merge_mode, advertise_codec=advertise_codec,
+    )

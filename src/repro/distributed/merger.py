@@ -47,7 +47,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from threading import Lock
 from typing import List
 
-__all__ = ["MergePool", "merge_tree", "MERGE_MODES"]
+__all__ = ["MergePool", "MERGE_MODES"]
 
 #: The merge-pool backends: ``thread`` (GIL-shared, overlap-I/O) and
 #: ``process`` (GIL-free pre-merging in child processes).
@@ -232,13 +232,3 @@ class MergePool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def merge_tree(structure, states, workers: int = 2, mode: str = "thread"):
-    """One-shot merge tree: decode and fold ``states`` (raw ``to_state``
-    dicts) into ``structure`` through a :class:`MergePool` in ``mode``;
-    returns ``structure``, bit-identical to folding the states serially."""
-    with MergePool(structure, workers, mode=mode) as pool:
-        for state in states:
-            pool.submit(state)
-        return pool.drain()

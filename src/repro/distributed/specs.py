@@ -76,8 +76,8 @@ def build_sketch(spec: dict):
         passes = int(spec.pop("passes", 1))
         if passes not in (1, 2):
             raise ValueError(
-                "distributed gsum specs support passes 1 (one-shot) or 2 "
-                "(the coordinated round protocol); got "
+                "distributed gsum specs support passes 1 (one round) or 2 "
+                "(two rounds with a candidate broadcast); got "
                 f"passes={passes}"
             )
         return GSumEstimator(

@@ -1,34 +1,29 @@
-"""Transports for the coordinator/worker protocol.
+"""Transports for the coordinator/worker round protocol.
 
-Two interchangeable ways to move :mod:`repro.distributed.wire` envelopes
-between shard workers and a coordinator:
+Interchangeable ways to move :mod:`repro.distributed.wire` envelopes
+between shard workers and a coordinator; every one of them carries the
+same rounds (a 1-pass job is a one-round session):
 
-:class:`FileTransport`
-    A drop-box directory (typically on a shared filesystem).  Each worker
-    writes its message to a uniquely-named JSON file via an atomic
-    write-to-temp-then-rename, so the coordinator — polling the directory —
+:class:`FileTransport` / :class:`FileWorkerSession`
+    A drop-box directory (typically on a shared filesystem) doubling as
+    an **inbox/outbox pair**: workers drop round-tagged ``rmsg-*`` frame
+    files (inbox), the coordinator publishes ``bcast-*`` round-begin
+    broadcasts (outbox) that every worker polls for.  Each file is
+    written via an atomic write-to-temp-then-rename, so a polling peer
     only ever observes complete messages.  No daemon, no ports, survives
     coordinator restarts; the natural choice for batch jobs and tests.
-    For the round protocol the directory doubles as an **inbox/outbox
-    pair**: workers drop round-tagged ``rmsg-*`` frames (inbox), the
-    coordinator publishes ``bcast-*`` round-begin broadcasts (outbox) that
-    every worker polls for.  All polling loops back off exponentially from
-    ``poll_interval`` up to ``max_poll_interval``, resetting whenever a
-    message actually arrives — idle waits cost little CPU, active bursts
-    stay responsive.
-
-:class:`SocketTransport` / :class:`SocketListener`
-    TCP with length-prefixed JSON frames (see :mod:`repro.distributed.wire`).
-    The one-shot shape: the coordinator owns a listening socket; each worker
-    connects, sends one frame, and disconnects.  Workers retry the connect
-    until the coordinator is up, so start order does not matter.
+    All polling loops back off exponentially from ``poll_interval`` up
+    to ``max_poll_interval``, resetting whenever a message actually
+    arrives — idle waits cost little CPU, active bursts stay responsive.
 
 :class:`SocketSession` / :class:`SocketHub`
-    The persistent shape for the round protocol: each worker holds one
-    long-lived connection (:class:`SocketSession`) carrying many frames in
-    both directions — periodic state deltas up, round-begin broadcasts
-    down.  The coordinator side (:class:`SocketHub`) accepts every worker
-    once, reads frames off each connection on a reader thread, and can
+    TCP with length-prefixed frames (see :mod:`repro.distributed.wire`).
+    Each worker holds one long-lived connection (:class:`SocketSession`)
+    carrying many frames in both directions — state deltas up,
+    round-begin broadcasts down; it retries the connect until the
+    coordinator is listening, so start order does not matter.  The
+    coordinator side (:class:`SocketHub`) accepts every worker once,
+    reads frames off each connection on a reader thread, and can
     broadcast to all connected workers.  A connection dropping mid-round
     fails the round immediately instead of waiting for the timeout.
 
@@ -199,28 +194,10 @@ class RoundTracker:
         }
 
 
-def _check_collected(messages: List[dict]) -> List[dict]:
-    """Shared post-processing: fail on any error envelope, reject duplicate
-    worker ids, and return state messages sorted by worker id (a canonical
-    merge order, so coordinator results do not depend on arrival order)."""
-    for message in messages:
-        if message["type"] == "error":
-            raise WorkerFailure(
-                f"worker {message['worker']} failed: {message.get('detail', '?')}"
-            )
-    by_worker = {}
-    for message in messages:
-        worker = message["worker"]
-        if worker in by_worker:
-            raise ValueError(f"duplicate state from worker {worker}")
-        by_worker[worker] = message
-    return [by_worker[worker] for worker in sorted(by_worker)]
-
-
 # ------------------------------------------------------------ file drop-box
 
 class FileTransport:
-    """Drop-box directory transport (both endpoints, both protocols).
+    """Drop-box directory transport (both endpoints).
 
     Parameters
     ----------
@@ -253,9 +230,6 @@ class FileTransport:
 
     def _backoff(self) -> _Backoff:
         return _Backoff(self.poll_interval, self.max_poll_interval, self.backoff)
-
-    def _message_path(self, worker: int) -> pathlib.Path:
-        return self.directory / f"msg-{int(worker):04d}.json"
 
     def _round_path(self, message: dict) -> pathlib.Path:
         kind = message["type"]
@@ -301,13 +275,9 @@ class FileTransport:
 
     # ---------------------------------------------------------- worker side
 
-    def send(self, message: dict) -> None:
-        """Publish a one-shot envelope (``state`` / ``error``)."""
-        self._publish(self._message_path(message["worker"]), message)
-
     def send_round(self, message: dict) -> None:
-        """Publish a round-protocol envelope (``delta`` / ``round_end`` /
-        round-tagged ``error``) under a name unique per (round, worker,
+        """Publish a worker envelope (``delta`` / ``delta_skipped`` /
+        ``round_end`` / ``error``) under a name unique per (round, worker,
         frame) — a retransmit overwrites its own file, so the file
         transport deduplicates frames by construction."""
         self._publish(self._round_path(message), message)
@@ -330,49 +300,6 @@ class FileTransport:
             backoff.sleep(remaining)
 
     # ----------------------------------------------------- coordinator side
-
-    def pending(self) -> List[dict]:
-        """All complete one-shot messages currently in the drop-box."""
-        if not self.directory.is_dir():
-            return []
-        messages = []
-        for path in sorted(self.directory.glob("msg-*.json")):
-            messages.append(self._load(path))
-        return messages
-
-    def collect(self, expected: int, timeout: float = 60.0) -> List[dict]:
-        """Poll until ``expected`` distinct workers have reported (or one
-        reported an error); returns state envelopes sorted by worker id.
-
-        Messages are immutable once atomically renamed into place, so each
-        file is parsed exactly once however long the polling lasts — a
-        straggler worker does not make the coordinator re-parse the large
-        states that already arrived on every poll tick.
-        """
-        deadline = time.monotonic() + timeout
-        backoff = self._backoff()
-        parsed: dict[str, dict] = {}
-        while True:
-            progressed = False
-            if self.directory.is_dir():
-                for path in sorted(self.directory.glob("msg-*.json")):
-                    if path.name not in parsed:
-                        parsed[path.name] = self._load(path)
-                        progressed = True
-            messages = list(parsed.values())
-            if any(m["type"] == "error" for m in messages):
-                return _check_collected(messages)  # raises WorkerFailure
-            if len({m["worker"] for m in messages}) >= expected:
-                return _check_collected(messages)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportTimeout(
-                    f"file transport: {len(messages)}/{expected} worker "
-                    f"states in {self.directory} after {timeout:.0f}s"
-                )
-            if progressed:
-                backoff.reset()
-            backoff.sleep(remaining)
 
     def collect_round(
         self,
@@ -461,10 +388,10 @@ class FileTransport:
                     self._round_parsed.discard(path.name)
 
     def purge(self) -> None:
-        """Delete all drop-box messages — one-shot, round frames, and
-        broadcasts alike (between runs on a reused dir)."""
+        """Delete all drop-box messages — round frames and broadcasts
+        alike (between runs on a reused dir)."""
         if self.directory.is_dir():
-            for pattern in ("msg-*.json*", "rmsg-*.json*", "bcast-*.json*"):
+            for pattern in ("rmsg-*.json*", "bcast-*.json*"):
                 for path in self.directory.glob(pattern):
                     path.unlink()
         self._round_parsed.clear()
@@ -492,13 +419,7 @@ class FileWorkerSession:
         self._transport = FileTransport(directory, **transport_kwargs)
 
     def send(self, message: dict) -> None:
-        if (
-            message["type"] in ("delta", "delta_skipped", "round_end")
-            or "round" in message
-        ):
-            self._transport.send_round(message)
-        else:
-            self._transport.send(message)
+        self._transport.send_round(message)
 
     def recv_broadcast(self, round_id: int, timeout: float = 120.0) -> dict:
         return self._transport.wait_broadcast(round_id, timeout)
@@ -780,49 +701,6 @@ class ShmWorkerSession(FileWorkerSession):
 
 # ------------------------------------------------------------- TCP sockets
 
-class SocketTransport:
-    """Worker-side one-shot TCP sender: connect, ship one frame, disconnect.
-
-    Connecting retries until ``connect_timeout`` elapses, so workers may
-    start before the coordinator is listening.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        connect_timeout: float = 30.0,
-        retry_interval: float = 0.05,
-    ):
-        self.host = host
-        self.port = int(port)
-        self.connect_timeout = float(connect_timeout)
-        self.retry_interval = float(retry_interval)
-
-    def send(self, message: dict) -> None:
-        validate_message(message)
-        deadline = time.monotonic() + self.connect_timeout
-        while True:
-            try:
-                with socket.create_connection(
-                    (self.host, self.port), timeout=self.connect_timeout
-                ) as sock:
-                    send_frame(sock, message)
-                return
-            except OSError as exc:
-                # Covers refused, host/net unreachable, and connect
-                # timeouts alike — all transient while the coordinator
-                # host is still coming up, which is exactly the window
-                # the retry loop exists for.
-                if time.monotonic() >= deadline:
-                    raise TransportTimeout(
-                        f"socket transport: could not deliver to "
-                        f"coordinator at {self.host}:{self.port} within "
-                        f"{self.connect_timeout:.0f}s ({exc})"
-                    ) from exc
-                time.sleep(self.retry_interval)
-
-
 def _connect_with_retry(
     host: str, port: int, connect_timeout: float, retry_interval: float
 ) -> socket.socket:
@@ -843,7 +721,7 @@ class SocketSession:
     """Worker-side persistent TCP session: one long-lived connection
     carrying many frames in both directions — delta frames and round-ends
     up to the coordinator, round-begin broadcasts back down.  Connecting
-    retries like :class:`SocketTransport`, so start order does not
+    retries until ``connect_timeout`` elapses, so start order does not
     matter."""
 
     def __init__(
@@ -898,64 +776,6 @@ class SocketSession:
             pass
 
     def __enter__(self) -> "SocketSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SocketListener:
-    """Coordinator-side one-shot TCP receiver.
-
-    Binds immediately (``port=0`` picks an ephemeral port — read
-    :attr:`address` to learn it), accepts one connection per worker
-    message.  Use as a context manager or call :meth:`close`.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, backlog: int = 16):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(backlog)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — what workers should dial."""
-        host, port = self._sock.getsockname()[:2]
-        return host, port
-
-    def collect(self, expected: int, timeout: float = 60.0) -> List[dict]:
-        """Accept connections until ``expected`` distinct workers have
-        shipped a state frame; returns envelopes sorted by worker id."""
-        deadline = time.monotonic() + timeout
-        messages: List[dict] = []
-        while len({m["worker"] for m in messages}) < expected:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportTimeout(
-                    f"socket transport: {len(messages)}/{expected} worker "
-                    f"states on {self.address} after {timeout:.0f}s"
-                )
-            self._sock.settimeout(remaining)
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            with conn:
-                conn.settimeout(max(remaining, 1.0))
-                message = recv_frame(conn)
-            if message["type"] == "error":
-                raise WorkerFailure(
-                    f"worker {message['worker']} failed: "
-                    f"{message.get('detail', '?')}"
-                )
-            messages.append(message)
-        return _check_collected(messages)
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self) -> "SocketListener":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -3,30 +3,27 @@
 Everything that crosses a machine boundary is one JSON document — the same
 wire format the mergeable-sketch protocol already speaks
 (:meth:`~repro.sketch.base.MergeableSketch.to_state`), wrapped in a small
-envelope that names the sender and the message kind:
+envelope that names the sender, the message kind and the round:
 
 .. code-block:: json
 
-    {"format": "repro-dist", "version": 1, "type": "state",
-     "worker": 2, "state": { ...to_state() dict... }}
+    {"format": "repro-dist", "version": 1, "type": "delta",
+     "worker": 2, "round": 1, "seq": 0, "state": { ...to_state() dict... }}
 
-Message types:
+Message types (all of the round protocol; a 1-pass job is one round):
 
-``state``
-    A worker's finished shard state (the one-shot protocol).  ``state`` is
-    the sketch's ``to_state()`` dict, whose embedded compatibility digest
-    is what lets the coordinator reject a worker built with the wrong
-    configuration or seed *before* merging anything.
 ``error``
     A worker announcing failure (``detail`` carries the reason) so the
-    coordinator can stop waiting instead of timing out.  May carry a
-    ``round`` tag in round-protocol sessions.
+    coordinator can stop waiting instead of timing out.  Workers tag it
+    with the ``round`` they failed in.
 ``delta``
-    One incremental state frame of the **round protocol**: the
-    ``to_state()`` of a fresh sibling that ingested only the updates since
-    the previous frame.  Tagged with ``round`` and a per-worker ``seq``
-    number; because sketch states are linear, merging the delta frames in
-    any order reproduces the batch merge bit for bit.
+    One incremental state frame: the ``to_state()`` of a fresh sibling
+    that ingested only the updates since the previous frame.  Tagged with
+    ``round`` and a per-worker ``seq`` number; because sketch states are
+    linear, merging the delta frames in any order reproduces the batch
+    merge bit for bit.  The state's embedded compatibility digest is what
+    lets the coordinator reject a worker built with the wrong
+    configuration or seed *before* merging anything.
 ``round_end``
     A worker declaring its round finished: ``frames`` says how many delta
     frames it shipped, so the coordinator can detect a lost frame instead
@@ -69,13 +66,19 @@ A frame's bytes come in two shapes, distinguished by the leading byte:
   field with a ``"buffer"`` index), so the bytes ship unencoded — no
   base64 expansion, no JSON float parsing on the hot merge path.
 
-Version-skew note: the wire version stays 1 — every envelope readable by
-a pre-codec peer is unchanged — but the ``delta_skipped`` type and the
-binary frame shape did not exist before the codec layer, so a coordinator
-predating it rejects them (unknown message type / undecodable frame)
-rather than merging wrongly.  In mixed-version fleets, upgrade the
-coordinator first; workers on any codec (old or new) then interoperate,
-because decoding is self-describing per value.
+Version-skew notes: the wire version stays 1.  The ``delta_skipped``
+type and the binary frame shape did not exist before the codec layer, so
+a coordinator predating it rejects them (unknown message type /
+undecodable frame) rather than merging wrongly; in mixed-version fleets,
+upgrade the coordinator first — workers on any codec (old or new) then
+interoperate, because decoding is self-describing per value.  Peers that
+predate the single round protocol shipped a 1-pass job as one untagged
+``state`` envelope (a ``msg-<worker>.json`` drop-box file, or one frame
+per socket connection).  A current coordinator never merges one: it
+never reads ``msg-*.json`` files, and ``state`` is no longer a message
+type, so the frame fails validation.  Either way the round ends in a
+``TransportTimeout`` naming that worker.  Round frames are unchanged, so
+old and new 2-pass or streaming-delta fleets still interoperate.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ LENGTH_PREFIX = struct.Struct(">I")
 BINARY_MAGIC = b"\xabRB1"
 
 MESSAGE_TYPES = (
-    "state", "error", "delta", "delta_skipped", "round_end", "round_begin",
+    "error", "delta", "delta_skipped", "round_end", "round_begin",
 )
 
 #: The ``worker`` id coordinator-originated broadcasts carry.
@@ -110,17 +113,6 @@ ROUND_SECOND_PASS = 2
 
 
 # --------------------------------------------------------------- envelopes
-
-def state_message(worker: int, state: dict) -> dict:
-    """Envelope for a worker's finished shard state (one-shot protocol)."""
-    return {
-        "format": WIRE_FORMAT,
-        "version": WIRE_VERSION,
-        "type": "state",
-        "worker": int(worker),
-        "state": state,
-    }
-
 
 def error_message(worker: int, detail: str, round_id: int | None = None) -> dict:
     """Envelope announcing a worker failure (optionally round-tagged)."""
@@ -211,8 +203,8 @@ def validate_message(message: dict) -> dict:
         raise ValueError(f"unknown message type {kind!r}")
     if not isinstance(message.get("worker"), int):
         raise ValueError("wire message lacks an integer worker id")
-    if kind in ("state", "delta") and not isinstance(message.get("state"), dict):
-        raise ValueError(f"{kind} message lacks a state dict")
+    if kind == "delta" and not isinstance(message.get("state"), dict):
+        raise ValueError("delta message lacks a state dict")
     if kind in ("delta", "delta_skipped", "round_end", "round_begin"):
         if not isinstance(message.get("round"), int) or message["round"] < 1:
             raise ValueError(f"{kind} message lacks a positive round id")

@@ -1,4 +1,4 @@
-"""The worker side: ingest a stream partition, ship the state.
+"""The worker side: ingest a stream partition, ship it round by round.
 
 A worker owns one contiguous partition of the stream (or, in
 many-files-per-worker deployments, a whole shard file of its own) and a
@@ -6,25 +6,23 @@ sketch that is a sibling of the coordinator's (same configuration, same
 randomness lineage — by construction from a shared spec, or by receiving a
 ``spawn_sibling()`` from the driver).
 
-Two shapes:
+:func:`run_worker_rounds` drives the round protocol over a persistent
+session (:class:`~repro.distributed.transport.SocketSession`,
+:class:`~repro.distributed.transport.FileWorkerSession` or
+:class:`~repro.distributed.transport.ShmWorkerSession`): ship the
+first-pass contribution as one or many streaming **delta frames**
+(:func:`ship_round`) — a 1-pass job ends there — and for two-pass
+estimation wait for the coordinator's candidate broadcast, verify it came
+from a true sibling (compat digest), import the merged candidate set, and
+ship the second pass the same way.
 
-* :func:`run_worker` — the one-shot protocol: feed the partition through
-  the ordinary batch path and publish one ``to_state()`` envelope.
-* :func:`run_worker_rounds` — the round protocol over a persistent session
-  (:class:`~repro.distributed.transport.SocketSession` or
-  :class:`~repro.distributed.transport.FileWorkerSession`): ship the
-  first-pass contribution as one or many streaming **delta frames**, and
-  for two-pass estimation wait for the coordinator's candidate broadcast,
-  verify it came from a true sibling (compat digest), import the merged
-  candidate set, and ship the second pass the same way.
-
-Failures are published through the transport either way, so the
-coordinator fails fast instead of timing out.
+Failures are published through the session, so the coordinator fails fast
+instead of timing out.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from repro.distributed.wire import (
     delta_skipped_message,
     error_message,
     round_end_message,
-    state_message,
 )
 from repro.streams.batching import DEFAULT_CHUNK
 from repro.streams.sharding import feed_chunks
@@ -43,7 +40,6 @@ from repro.streams.sharding import feed_chunks
 __all__ = [
     "partition_bounds",
     "worker_slice",
-    "run_worker",
     "ship_round",
     "run_worker_rounds",
 ]
@@ -69,31 +65,6 @@ def worker_slice(
     bounds = partition_bounds(items.shape[0], workers)
     start, stop = int(bounds[worker_id]), int(bounds[worker_id + 1])
     return items[start:stop], deltas[start:stop]
-
-
-def run_worker(
-    structure,
-    items: np.ndarray,
-    deltas: np.ndarray,
-    worker_id: int,
-    transport,
-    chunk_size: int = DEFAULT_CHUNK,
-    second_pass: bool = False,
-    codec: str | None = None,
-) -> dict:
-    """One-shot protocol: ingest one partition into ``structure`` and
-    publish its serialized state (under ``codec`` — dense-json, sparse,
-    or binary; the coordinator decodes any of them).  Returns the sent
-    envelope.  On any ingestion error an ``error`` envelope is published
-    before re-raising, so the coordinator aborts immediately."""
-    try:
-        feed_chunks(structure, items, deltas, chunk_size, second_pass)
-        message = state_message(worker_id, structure.to_state(codec=codec))
-    except Exception as exc:
-        transport.send(error_message(worker_id, f"{type(exc).__name__}: {exc}"))
-        raise
-    transport.send(message)
-    return message
 
 
 def ship_round(
@@ -135,10 +106,14 @@ def ship_round(
     # The unchanged-sketch detector: a period's frame is skippable exactly
     # when its state equals a fresh sibling's.  (Delta-sign tricks are not
     # enough — a zero-sum period can still admit candidate-pool entries.)
-    blank = structure.spawn_sibling().to_state(codec=codec)
+    # The first period's sibling is encoded once before it is fed, which
+    # saves spawning a sibling just for the blank state.
+    blank = None
     seq = 0
     for start in range(0, items.shape[0], period):
         sibling = structure.spawn_sibling()
+        if blank is None:
+            blank = sibling.to_state(codec=codec)
         feed_chunks(
             sibling,
             items[start : start + period],
@@ -170,10 +145,11 @@ def run_worker_rounds(
     passes: int = 1,
     timeout: float = 120.0,
     codec: str | None = None,
-) -> None:
+) -> List[int]:
     """Drive one worker through the round protocol over a persistent
     ``session`` (``send`` / ``recv_broadcast``), shipping every state
-    frame under ``codec``.
+    frame under ``codec``.  Returns the frame count :func:`ship_round`
+    reported for each round the worker shipped, in round order.
 
     Round 1 ships the first-pass contribution.  With ``passes == 2`` the
     worker then blocks on the coordinator's ``round_begin`` broadcast,
@@ -191,11 +167,13 @@ def run_worker_rounds(
         raise ValueError("passes must be 1 or 2")
     round_id = ROUND_FIRST_PASS
     try:
-        ship_round(
-            structure, items, deltas, worker_id, ROUND_FIRST_PASS,
-            session.send, chunk_size, delta_every, second_pass=False,
-            codec=codec,
-        )
+        frames = [
+            ship_round(
+                structure, items, deltas, worker_id, ROUND_FIRST_PASS,
+                session.send, chunk_size, delta_every, second_pass=False,
+                codec=codec,
+            )
+        ]
         if passes == 2:
             begin = session.recv_broadcast(ROUND_SECOND_PASS, timeout)
             round_id = ROUND_SECOND_PASS
@@ -207,10 +185,12 @@ def run_worker_rounds(
                     "from a different spec or seed than the coordinator"
                 )
             structure.import_candidates(begin["candidates"])
-            ship_round(
-                structure, items, deltas, worker_id, ROUND_SECOND_PASS,
-                session.send, chunk_size, delta_every, second_pass=True,
-                codec=codec if codec is not None else begin.get("codec"),
+            frames.append(
+                ship_round(
+                    structure, items, deltas, worker_id, ROUND_SECOND_PASS,
+                    session.send, chunk_size, delta_every, second_pass=True,
+                    codec=codec if codec is not None else begin.get("codec"),
+                )
             )
     except Exception as exc:
         try:
@@ -222,3 +202,4 @@ def run_worker_rounds(
         except Exception:  # pragma: no cover - e.g. the session died too
             pass
         raise
+    return frames

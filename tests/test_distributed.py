@@ -1,12 +1,13 @@
 """Distributed coordinator/worker ingestion (``repro.distributed``).
 
-The acceptance gates: ``distributed_ingest()`` over both transports
-(file, socket) with k in {2, 4} workers produces coordinator state
-bit-identical to single-machine ingestion — for a raw sketch and for the
-full ``GSumEstimator`` — and the coordinated two-pass **round protocol**
-(``distributed_two_pass()``, one state frame per round or streaming delta
-merges) reproduces single-machine 2-pass ``GSumEstimator.run()`` bit for
-bit over the same matrix.  The same gates cover the zero-copy
+The acceptance gates: ``distributed_ingest()`` (a one-round session of
+the round protocol) over both transports (file, socket) with k in {2, 4}
+workers produces coordinator state bit-identical to single-machine
+ingestion — for a raw sketch and for the full ``GSumEstimator`` — and the
+coordinated two-pass **round protocol** (``distributed_two_pass()``, one
+state frame per round or streaming delta merges) reproduces
+single-machine 2-pass ``GSumEstimator.run()`` bit for bit over the same
+matrix.  The same gates cover the zero-copy
 shared-memory transport, the process-backed (GIL-free) merge tree, the
 sparse-binary codec, and codec-negotiated fleets.  Plus the protocol
 pieces: framing, envelope validation, failure propagation (worker crash
@@ -28,14 +29,13 @@ from repro.core.gsum import GSumEstimator
 from repro.distributed import (
     CollectTimeout,
     FileTransport,
+    FileWorkerSession,
     MergePool,
     RoundCoordinator,
     RoundTracker,
     ShmTransport,
     SocketHub,
-    SocketListener,
     SocketSession,
-    SocketTransport,
     TransportTimeout,
     WorkerFailure,
     delta_message,
@@ -43,8 +43,6 @@ from repro.distributed import (
     distributed_ingest,
     distributed_two_pass,
     error_message,
-    merge_states,
-    merge_tree,
     partition_bounds,
     recv_frame,
     round_begin_message,
@@ -52,7 +50,6 @@ from repro.distributed import (
     run_worker_rounds,
     send_frame,
     ship_round,
-    state_message,
     worker_slice,
 )
 from repro.distributed.specs import build_sketch
@@ -78,6 +75,19 @@ def fresh_countsketch():
 
 def fresh_estimator(**kwargs):
     return GSumEstimator(G2, N, heaviness=0.15, repetitions=2, seed=5, **kwargs)
+
+
+def coordinate_states(structure, box, states, merge_workers=0):
+    """Ship each state as worker ``i``'s single round-1 frame through the
+    drop-box ``box``, then merge them into ``structure`` as a one-round
+    session; returns ``structure``."""
+    for worker, state in enumerate(states):
+        box.send_round(delta_message(worker, 1, 0, state))
+        box.send_round(round_end_message(worker, 1, 1))
+    return RoundCoordinator(
+        structure, box, workers=len(states), timeout=10.0,
+        merge_workers=merge_workers,
+    ).run_single_pass()
 
 
 class TestEqualityGate:
@@ -131,17 +141,16 @@ class TestEqualityGate:
         )
 
     def test_two_pass_distributed_both_passes(self):
+        """Both passes distributed, at a worker count outside the k in
+        {2, 4} matrix: the two-round session equals single-machine
+        ingestion of both passes."""
         sequential = fresh_estimator(passes=2)
         sequential.process(STREAM)
         sequential.begin_second_pass()
         sequential.process_second_pass(STREAM)
 
         dist = fresh_estimator(passes=2)
-        distributed_ingest(dist, STREAM, workers=3, transport="file")
-        dist.begin_second_pass()
-        distributed_ingest(
-            dist, STREAM, workers=3, transport="socket", second_pass=True
-        )
+        distributed_two_pass(dist, STREAM, workers=3, transport="socket")
         assert dist.estimate() == sequential.estimate()
 
     def test_adds_to_existing_state(self):
@@ -252,19 +261,18 @@ class TestRoundProtocol:
         still merges bit-for-bit."""
         sequential = drive(fresh_countsketch(), STREAM)
         items, deltas = STREAM.as_arrays()
-        box = FileTransport(tmp_path / "rv", poll_interval=0.01)
-        from repro.distributed import run_worker
-
         codecs = ("dense-json", "sparse", "binary", "sparse-binary")
         for worker_id, codec in enumerate(codecs):
             part = worker_slice(items, deltas, worker_id, len(codecs))
-            run_worker(
-                fresh_countsketch(), part[0], part[1], worker_id, box,
-                codec=codec,
+            run_worker_rounds(
+                fresh_countsketch(), part[0], part[1], worker_id,
+                FileWorkerSession(tmp_path / "rv"), codec=codec,
             )
-        merged = merge_states(
-            fresh_countsketch(), box.collect(len(codecs), timeout=10.0)
-        )
+        merged = fresh_countsketch()
+        RoundCoordinator(
+            merged, FileTransport(tmp_path / "rv", poll_interval=0.01),
+            workers=len(codecs), timeout=10.0,
+        ).run_single_pass()
         assert dumps_state(merged.to_state()) == dumps_state(
             sequential.to_state()
         )
@@ -326,8 +334,6 @@ class TestRoundProtocol:
                 assert '"sparse-binary"' not in payload
 
     def test_round_summaries_recorded(self, tmp_path):
-        from repro.distributed import FileWorkerSession
-
         dist = fresh_estimator(passes=2)
         channel = FileTransport(tmp_path / "rv", poll_interval=0.01)
         coordinator = RoundCoordinator(dist, channel, workers=1, timeout=30.0)
@@ -366,24 +372,34 @@ class TestMergeTree:
             states.append(sibling.to_state())
         return states
 
+    def _pool_fold(self, states, workers, mode="thread"):
+        root = fresh_countsketch()
+        with MergePool(root, workers=workers, mode=mode) as pool:
+            for state in states:
+                pool.submit(state)
+            pool.drain()
+        return root
+
     def test_merge_tree_equals_serial(self):
         sequential = drive(fresh_countsketch(), STREAM)
-        serial = merge_states(
-            fresh_countsketch(),
-            [state_message(i, s) for i, s in enumerate(self._worker_states())],
-        )
-        treed = merge_tree(fresh_countsketch(), self._worker_states(), workers=3)
+        serial = fresh_countsketch()
+        for state in self._worker_states():
+            serial.merge(serial.from_state(state))
+        treed = self._pool_fold(self._worker_states(), workers=3)
         assert dumps_state(treed.to_state()) == dumps_state(serial.to_state())
         assert dumps_state(treed.to_state()) == dumps_state(
             sequential.to_state()
         )
 
-    def test_merge_states_parallel_path(self):
+    def test_merge_states_parallel_path(self, tmp_path):
+        """The coordinator's parallel path: a one-round session whose
+        frames fan out over a 4-wide merge pool folds to the sequential
+        bits."""
         sequential = drive(fresh_countsketch(), STREAM)
-        merged = merge_states(
+        merged = coordinate_states(
             fresh_countsketch(),
-            [state_message(i, s) for i, s in enumerate(self._worker_states())],
-            merge_workers=4,
+            FileTransport(tmp_path / "rv", poll_interval=0.01),
+            self._worker_states(), merge_workers=4,
         )
         assert dumps_state(merged.to_state()) == dumps_state(
             sequential.to_state()
@@ -431,9 +447,7 @@ class TestMergeTree:
         """``merge_workers=1`` degenerates to serial folding — bit for
         bit, in both backends."""
         sequential = drive(fresh_countsketch(), STREAM)
-        treed = merge_tree(
-            fresh_countsketch(), self._worker_states(5), workers=1, mode=mode
-        )
+        treed = self._pool_fold(self._worker_states(5), workers=1, mode=mode)
         assert dumps_state(treed.to_state()) == dumps_state(
             sequential.to_state()
         )
@@ -676,13 +690,17 @@ class TestShmTransport:
         worker = ShmTransport(tmp_path / "rv", poll_interval=0.01)
         sketch = drive(fresh_countsketch(), STREAM)
         inline_bytes = len(json.dumps(sketch.to_state(codec="binary")))
-        worker.send(state_message(0, sketch.to_state(codec="binary")))
-        assert len(worker._segment_files()) == 1
-        header_bytes = (tmp_path / "rv" / "msg-0000.json").stat().st_size
-        assert header_bytes * 10 < inline_bytes
-        merged = merge_states(
-            fresh_countsketch(), coordinator.collect(1, timeout=10.0)
+        worker.send_round(
+            delta_message(0, 1, 0, sketch.to_state(codec="binary"))
         )
+        assert len(worker._segment_files()) == 1
+        header = tmp_path / "rv" / "rmsg-001-w0000-d000000.json"
+        assert header.stat().st_size * 10 < inline_bytes
+        worker.send_round(round_end_message(0, 1, 1))
+        merged = fresh_countsketch()
+        RoundCoordinator(
+            merged, coordinator, workers=1, timeout=10.0
+        ).run_single_pass()
         assert dumps_state(merged.to_state()) == dumps_state(
             sketch.to_state()
         )
@@ -695,9 +713,10 @@ class TestShmTransport:
         cross-host fleet pointed at a shared directory still works."""
         box = ShmTransport(tmp_path / "rv", poll_interval=0.01)
         sketch = drive(fresh_countsketch(), STREAM)
-        box.send(state_message(0, sketch.to_state(codec="binary")))
+        merged = coordinate_states(
+            fresh_countsketch(), box, [sketch.to_state(codec="binary")]
+        )
         assert box._segment_files() == []
-        merged = merge_states(fresh_countsketch(), box.collect(1, timeout=10.0))
         assert dumps_state(merged.to_state()) == dumps_state(
             sketch.to_state()
         )
@@ -711,7 +730,7 @@ class TestShmTransport:
             json.dumps({"token": "elsewhere:0000"})
         )
         sketch = drive(fresh_countsketch(), STREAM)
-        box.send(state_message(0, sketch.to_state(codec="binary")))
+        box.send_round(delta_message(0, 1, 0, sketch.to_state(codec="binary")))
         assert box._segment_files() == []
 
     def test_run_leaves_no_segments(self, tmp_path):
@@ -781,15 +800,15 @@ class TestBinaryWire:
         from repro.distributed.wire import dumps_frame, dumps_message
 
         state = drive(fresh_countsketch(), STREAM).to_state(codec="binary")
-        message = state_message(0, state)
+        message = delta_message(0, 1, 0, state)
         assert len(dumps_frame(message)) < len(dumps_message(message))
 
     def test_binary_frame_file_transport(self, tmp_path):
         original = drive(fresh_countsketch(), STREAM)
-        box = FileTransport(tmp_path / "rv", poll_interval=0.01)
-        box.send(state_message(0, original.to_state(codec="binary")))
-        merged = merge_states(
-            fresh_countsketch(), box.collect(1, timeout=10.0)
+        merged = coordinate_states(
+            fresh_countsketch(),
+            FileTransport(tmp_path / "rv", poll_interval=0.01),
+            [original.to_state(codec="binary")],
         )
         assert dumps_state(merged.to_state()) == dumps_state(
             original.to_state()
@@ -799,8 +818,8 @@ class TestBinaryWire:
         from repro.distributed.wire import dumps_frame, dumps_message
 
         for codec in ("dense-json", "sparse"):
-            message = state_message(
-                0, drive(fresh_countsketch(), STREAM).to_state(codec=codec)
+            message = delta_message(
+                0, 1, 0, drive(fresh_countsketch(), STREAM).to_state(codec=codec)
             )
             assert dumps_frame(message) == dumps_message(message)
 
@@ -808,7 +827,7 @@ class TestBinaryWire:
         from repro.distributed.wire import dumps_frame, loads_frame
 
         state = drive(fresh_countsketch(), STREAM).to_state(codec="binary")
-        frame = dumps_frame(state_message(0, state))
+        frame = dumps_frame(delta_message(0, 1, 0, state))
         with pytest.raises(ValueError, match="trailing bytes"):
             loads_frame(frame + b"\x00")
 
@@ -1128,7 +1147,7 @@ class TestBackoff:
             tmp_path / "rv", poll_interval=0.01, max_poll_interval=0.04
         )
         with pytest.raises(TransportTimeout):
-            box.collect(1, timeout=0.2)
+            box.collect_round(1, expected=1, timeout=0.2)
         assert sleeps[:3] == pytest.approx([0.01, 0.02, 0.04])
         assert max(sleeps) <= 0.04 + 1e-9
 
@@ -1141,13 +1160,14 @@ class TestBackoff:
         def drop_late(interval):
             sleeps.append(interval)
             if len(sleeps) == 4:  # worker 0 arrives after the 4th idle poll
-                box.send(state_message(0, {"x": 1}))
+                box.send_round(delta_message(0, 1, 0, {"x": 1}))
+                box.send_round(round_end_message(0, 1, 1))
 
         monkeypatch.setattr(
             "repro.distributed.transport.time.sleep", drop_late
         )
-        with pytest.raises(TransportTimeout, match="1/2"):
-            box.collect(2, timeout=0.3)
+        with pytest.raises(TransportTimeout, match=r"workers \[1\]"):
+            box.collect_round(1, expected=2, timeout=0.3)
         # Ramped to the cap while idle, then the arrival reset the
         # interval back to the initial value.
         assert sleeps[:4] == pytest.approx([0.01, 0.02, 0.04, 0.08])
@@ -1186,7 +1206,7 @@ class TestWire:
     def test_socket_frame_round_trip(self):
         a, b = socket.socketpair()
         try:
-            message = state_message(3, {"format": "repro-sketch-state"})
+            message = delta_message(3, 1, 0, {"format": "repro-sketch-state"})
             send_frame(a, message)
             assert recv_frame(b) == message
         finally:
@@ -1206,8 +1226,14 @@ class TestWire:
             )
         with pytest.raises(ValueError, match="state dict"):
             validate_message(
+                {"format": "repro-dist", "version": 1, "type": "delta",
+                 "worker": 0, "round": 1, "seq": 0}
+            )
+        # An older peer's one-shot envelope is rejected, never merged.
+        with pytest.raises(ValueError, match="message type 'state'"):
+            validate_message(
                 {"format": "repro-dist", "version": 1, "type": "state",
-                 "worker": 0}
+                 "worker": 0, "state": {}}
             )
 
     def test_round_envelopes_validate(self):
@@ -1253,82 +1279,101 @@ class TestWire:
 class TestTransports:
     def test_file_atomic_publish_and_collect(self, tmp_path):
         box = FileTransport(tmp_path / "rv", poll_interval=0.01)
-        box.send(state_message(1, {"x": 1}))
-        box.send(state_message(0, {"x": 0}))
-        messages = box.collect(2, timeout=1.0)
-        assert [m["worker"] for m in messages] == [0, 1]  # canonical order
+        for worker in (1, 0):
+            box.send_round(delta_message(worker, 1, 0, {"x": worker}))
+            box.send_round(round_end_message(worker, 1, 1))
+        merged = []
+        summary = box.collect_round(
+            1, expected=2, timeout=1.0,
+            on_state=lambda message: merged.append(message["worker"]),
+        )
+        assert merged == [0, 1]  # canonical order, whatever the arrival
+        assert summary["workers"] == [0, 1]
         assert not list((tmp_path / "rv").glob("*.tmp"))
 
     def test_file_collect_timeout(self, tmp_path):
+        """A missing worker times out by name — including one that
+        predates the round protocol and dropped a one-shot
+        ``msg-*.json`` state file, which the coordinator never reads."""
         box = FileTransport(tmp_path / "rv", poll_interval=0.01)
-        box.send(state_message(0, {}))
-        with pytest.raises(CollectTimeout, match="1/2"):
-            box.collect(2, timeout=0.05)
+        box.send_round(delta_message(0, 1, 0, {}))
+        box.send_round(round_end_message(0, 1, 1))
+        (tmp_path / "rv" / "msg-0001.json").write_text(json.dumps(
+            {"format": "repro-dist", "version": 1, "type": "state",
+             "worker": 1, "state": {}}
+        ))
+        with pytest.raises(CollectTimeout, match=r"stragglers: workers \[1\]"):
+            box.collect_round(1, expected=2, timeout=0.05)
 
     def test_file_error_envelope_fails_fast(self, tmp_path):
+        """Even an untagged error envelope lands in the round inbox."""
+        FileWorkerSession(tmp_path / "rv").send(error_message(1, "exploded"))
         box = FileTransport(tmp_path / "rv", poll_interval=0.01)
-        box.send(error_message(1, "exploded"))
         with pytest.raises(WorkerFailure, match="worker 1.*exploded"):
-            box.collect(2, timeout=30.0)  # no 30s wait: error short-circuits
-
-    def test_file_duplicate_worker_rejected(self, tmp_path):
-        box = FileTransport(tmp_path / "rv")
-        from repro.distributed.transport import _check_collected
-
-        with pytest.raises(ValueError, match="duplicate"):
-            _check_collected([state_message(0, {}), state_message(0, {})])
-        box.purge()
+            # no 30s wait: the error short-circuits the round
+            box.collect_round(1, expected=2, timeout=30.0)
 
     def test_socket_collect_and_failure(self):
-        with SocketListener() as listener:
-            host, port = listener.address
-            sender = SocketTransport(host, port)
+        def ship(address, worker):
+            with SocketSession(*address) as session:
+                session.send(delta_message(worker, 1, 0, {"i": worker}))
+                session.send(round_end_message(worker, 1, 1))
+
+        with SocketHub() as hub:
             threads = [
-                threading.Thread(
-                    target=sender.send, args=(state_message(i, {"i": i}),)
-                )
+                threading.Thread(target=ship, args=(hub.address, i))
                 for i in range(3)
             ]
             for t in threads:
                 t.start()
-            messages = listener.collect(3, timeout=10.0)
+            summary = hub.collect_round(1, expected=3, timeout=10.0)
             for t in threads:
-                t.join()
-        assert [m["worker"] for m in messages] == [0, 1, 2]
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+        assert summary["workers"] == [0, 1, 2]
 
-        with SocketListener() as listener:
-            host, port = listener.address
-            SocketTransport(host, port).send(error_message(7, "boom"))
-            with pytest.raises(WorkerFailure, match="worker 7"):
-                listener.collect(2, timeout=10.0)
+        with SocketHub() as hub:
+            with SocketSession(*hub.address) as session:
+                session.send(error_message(7, "boom", round_id=1))
+                with pytest.raises(WorkerFailure, match="worker 7"):
+                    hub.collect_round(1, expected=2, timeout=10.0)
 
     def test_socket_connect_timeout(self):
-        with SocketListener() as listener:
-            host, port = listener.address
-        # listener closed: nothing is accepting on that port anymore
-        sender = SocketTransport(host, port, connect_timeout=0.05,
-                                 retry_interval=0.01)
-        with pytest.raises(CollectTimeout, match="could not deliver"):
-            sender.send(state_message(0, {}))
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            host, port = probe.getsockname()
+        # closed without ever listening: every dial is refused
+        with pytest.raises(CollectTimeout, match="could not connect"):
+            SocketSession(host, port, connect_timeout=0.05, retry_interval=0.01)
 
     def test_socket_listener_timeout(self):
-        with SocketListener() as listener:
-            with pytest.raises(CollectTimeout, match="0/1"):
-                listener.collect(1, timeout=0.05)
+        """A worker that predates the round protocol connects, ships one
+        one-shot ``state`` frame and hangs up.  The frame fails
+        validation, so nothing merges and the round times out naming
+        that worker."""
+        with SocketHub() as hub:
+            with socket.create_connection(hub.address) as legacy:
+                send_frame(legacy, {"format": "repro-dist", "version": 1,
+                                    "type": "state", "worker": 0, "state": {}})
+            with pytest.raises(CollectTimeout, match=r"stragglers: workers \[0\]"):
+                hub.collect_round(1, expected=1, timeout=0.3)
 
 
 class TestCompatibility:
-    def test_wrong_seed_rejected_at_merge(self):
+    def test_wrong_seed_rejected_at_merge(self, tmp_path):
         shipped = drive(fresh_countsketch(), STREAM).to_state()
         other = CountSketch(5, 256, track=16, seed=10)  # different lineage
+        box = FileTransport(tmp_path / "rv", poll_interval=0.01)
         with pytest.raises(ValueError, match="different configuration"):
-            merge_states(other, [state_message(0, shipped)])
+            coordinate_states(other, box, [shipped])
+        assert not other._table.any()  # rejected before anything merged
 
-    def test_wrong_shape_rejected_at_merge(self):
+    def test_wrong_shape_rejected_at_merge(self, tmp_path):
         shipped = drive(fresh_countsketch(), STREAM).to_state()
         other = CountSketch(5, 512, track=16, seed=9)
+        box = FileTransport(tmp_path / "rv", poll_interval=0.01)
         with pytest.raises(ValueError, match="different configuration"):
-            merge_states(other, [state_message(0, shipped)])
+            coordinate_states(other, box, [shipped])
 
     def test_driver_validates_inputs(self):
         with pytest.raises(ValueError, match="transport"):
@@ -1406,7 +1451,7 @@ class TestCli:
         assert main(self._args(
             ["coordinate", "--workers", "1", "--rendezvous", str(rendezvous)]
         )) == 0
-        assert not list(rendezvous.glob("msg-*.json"))
+        assert not list(rendezvous.glob("rmsg-*.json"))
         with pytest.raises(CollectTimeout):
             main(self._args(
                 ["coordinate", "--workers", "1", "--timeout", "0.1",
@@ -1494,6 +1539,58 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "identical to single-machine ingestion: True" in out
+
+    @pytest.mark.parametrize("transport", ("socket", "shm"))
+    def test_one_pass_round_trip_socket_and_shm(self, tmp_path, capsys,
+                                                transport):
+        """The 1-pass CLI fleet over the two session transports the file
+        round trip above does not reach."""
+        stream_path = tmp_path / "stream.jsonl"
+        save_stream(STREAM, stream_path)
+        if transport == "socket":
+            with socket.socket() as probe:  # a free port for the hub
+                probe.bind(("127.0.0.1", 0))
+                rendezvous = f"127.0.0.1:{probe.getsockname()[1]}"
+        else:
+            rendezvous = str(tmp_path / "rv")
+        flags = ["--transport", transport, "--rendezvous", rendezvous]
+        threads = [
+            threading.Thread(target=main, args=(self._args(
+                ["worker", str(stream_path), "--worker-id", str(i),
+                 "--workers", "2", "--codec", "binary", *flags]
+            ),))
+            for i in range(2)
+        ]
+        for t in threads:
+            t.start()
+        code = main(self._args(
+            ["coordinate", "--workers", "2", "--timeout", "30",
+             "--verify-stream", str(stream_path), *flags]
+        ))
+        for t in threads:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "identical to single-machine ingestion: True" in out
+
+    def test_worker_reports_shipped_frames(self, tmp_path, capsys):
+        """A worker reports the frames it shipped per round, not the
+        blank estimate and size of the CLI sketch it never feeds."""
+        stream_path = tmp_path / "stream.jsonl"
+        save_stream(STREAM, stream_path)
+        share = int(partition_bounds(len(STREAM), 2)[1])
+        code = main(
+            ["worker", str(stream_path), "--worker-id", "0", "--workers",
+             "2", "--sketch", "gsum", "--function", "x^2", "--n", str(N),
+             "--heaviness", "0.15", "--repetitions", "2", "--seed", "5",
+             "--delta-every", "400", "--rendezvous", str(tmp_path / "rv")]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"round 1: {-(-share // 400)} frame(s) shipped" in out
+        assert "estimate:" not in out
+        assert "state bytes" not in out
 
     def test_mismatched_seed_fails_loudly(self, tmp_path):
         stream_path = tmp_path / "stream.jsonl"
