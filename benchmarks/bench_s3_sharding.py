@@ -167,14 +167,13 @@ def test_s3_gsum_estimator_sharded(benchmark):
 
 def test_s3_gsum_shard_crossover(benchmark):
     """Where does estimator sharding start to pay?  Sweep stream sizes and
-    compare serial ingestion against slab-axis sharding (sibling spawn +
-    merge per stream) and repetition-axis sharding (no spawn/merge — the
-    repetitions already exist).  The per-size ``speedup`` columns measure
-    when each axis's fixed overhead is amortized: on a 1-core machine the
-    ratio climbs toward ~1.0 as the stream grows (overhead -> noise) and
-    the crossover to >1.0 requires real cores.  The ``overhead_amortized``
-    column marks speedup >= 0.95 — the documented crossover criterion.
-    State equality is asserted at every point, as always."""
+    compare serial ingestion against slab sharding (sibling spawn + merge
+    per stream).  The per-size ``speedup`` column measures when that fixed
+    overhead is amortized: on a 1-core machine the ratio climbs toward
+    ~1.0 as the stream grows (overhead -> noise) and the crossover to
+    >1.0 requires real cores.  The ``overhead_amortized`` column marks
+    speedup >= 0.95 — the documented crossover criterion.  State equality
+    is asserted at every point, as always."""
     sizes = (2_000, 10_000, 30_000) if SMOKE else (10_000, 100_000, 1_000_000)
     heaviness = 0.3 if SMOKE else 0.1
     reps = 2
@@ -197,30 +196,28 @@ def test_s3_gsum_shard_crossover(benchmark):
         start = time.perf_counter()
         serial.process(stream)
         serial_s = time.perf_counter() - start
-        for axis in ("slab", "repetition"):
-            est = build(shards=2, shard_axis=axis)
-            start = time.perf_counter()
-            est.process(stream)
-            elapsed = time.perf_counter() - start
-            assert est.estimate() == serial.estimate(), (total_mass, axis)
-            speedup = serial_s / elapsed
-            rows.append(
-                {
-                    "updates": len(stream),
-                    "shard_axis": axis,
-                    "shards": 2,
-                    "upd_per_sec": len(stream) / elapsed,
-                    "speedup_vs_serial": speedup,
-                    "overhead_amortized": speedup >= 0.95,
-                }
-            )
+        est = build(shards=2)
+        start = time.perf_counter()
+        est.process(stream)
+        elapsed = time.perf_counter() - start
+        assert est.estimate() == serial.estimate(), total_mass
+        speedup = serial_s / elapsed
+        rows.append(
+            {
+                "updates": len(stream),
+                "shards": 2,
+                "upd_per_sec": len(stream) / elapsed,
+                "speedup_vs_serial": speedup,
+                "overhead_amortized": speedup >= 0.95,
+            }
+        )
     emit_table(
         "S3_CROSSOVER",
-        "GSumEstimator sharding crossover: stream size vs shard-axis overhead",
+        "GSumEstimator sharding crossover: stream size vs slab-sharding overhead",
         rows,
-        claim="repetition-axis sharding amortizes at smaller streams than "
-        "slab-axis (no sibling construction or merge); wall-clock wins "
-        f"need real cores (this machine: {CPUS})",
+        claim="slab sharding pays sibling construction and merge per stream; "
+        "the overhead shrinks relative to ingestion as streams grow, and "
+        f"wall-clock wins need real cores (this machine: {CPUS})",
     )
 
 

@@ -50,8 +50,7 @@ def _workload() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build() -> GSumEstimator:
-    # fused=True is the default; the legacy arm opts out explicitly so
-    # both estimators share identical hash families (same seed).
+    # Both arms use the same seed, so they share identical hash families.
     return GSumEstimator(moment(2.0), N, passes=1, seed=SEED)
 
 
@@ -62,12 +61,22 @@ def _ingest(est: GSumEstimator, items: np.ndarray, deltas: np.ndarray) -> float:
     return time.perf_counter() - start
 
 
+def _ingest_legacy(est: GSumEstimator, items: np.ndarray, deltas: np.ndarray) -> float:
+    """The per-cell fan-out: each chunk goes to every repetition's own
+    ``RecursiveGSumSketch.update_batch``, bypassing the fused plan."""
+    start = time.perf_counter()
+    for i in range(0, items.shape[0], CHUNK):
+        for rep in est._sketches:
+            rep.update_batch(items[i:i + CHUNK], deltas[i:i + CHUNK])
+    return time.perf_counter() - start
+
+
 def test_s7_fused_table():
     items, deltas = _workload()
 
     legacy = _build()
-    legacy.fused = False
-    legacy_s = _ingest(legacy, items, deltas)
+    legacy_s = _ingest_legacy(legacy, items, deltas)
+    assert legacy._ingest_plan is None
 
     fused = _build()
     fused_s = _ingest(fused, items, deltas)

@@ -90,33 +90,23 @@ class GSumEstimator(MergeableSketch):
     shards:
         Parallel ingestion shards for :meth:`process` /
         :meth:`process_second_pass` / :meth:`run`.  ``shards > 1`` splits
-        each stream across sibling estimators driven by a worker pool and
-        merges their states — estimates are bit-identical to sequential
-        ingestion (see :mod:`repro.streams.sharding`).
+        each stream into contiguous slabs fed to sibling estimators on a
+        worker pool and merges their states — estimates are bit-identical
+        to sequential ingestion (see :mod:`repro.streams.sharding`).
     shard_mode:
         ``"thread"`` (default), ``"process"``, or ``"serial"``.  Process
         mode ships pickled siblings to a process pool, so it needs ``g``
         to serialize — true for every registry-built function (the whole
         catalog, the ``random_g`` families, CLI expressions); see
         :mod:`repro.functions.registry`.
-    fused:
-        Route batched ingestion through the fused ingestion plane
-        (:mod:`repro.core.ingest_plan`): the repetition x level x row
-        fan-out is stacked into one scatter plane and stacked hash banks,
-        bit-for-bit identical to the per-sketch walk but several times
-        faster.  ``False`` keeps the legacy loop (the equality baseline
-        in tests and benchmarks).  Not part of the merge-compatibility
-        configuration — fused and legacy estimators are siblings.
-    shard_axis:
-        What ``shards > 1`` parallelizes.  ``"slab"`` (default) splits the
-        stream into contiguous slabs fed to sibling *estimators* that are
-        merged afterwards — scales past the repetition count but pays
-        sibling construction + merge per stream.  ``"repetition"`` feeds
-        the whole stream to each of the ``repetitions`` independent
-        recursive sketches on its own thread — no spawn/merge overhead at
-        all (the repetitions already exist), parallelism capped at
-        ``repetitions``, thread mode only.  Both are bit-identical to
-        sequential ingestion.
+
+    Batched ingestion (:meth:`update_batch`,
+    :meth:`update_batch_second_pass`) runs through the fused ingestion
+    plane (:mod:`repro.core.ingest_plan`): the repetition x level x row
+    fan-out stacked into one scatter plane and stacked hash banks,
+    bit-for-bit identical to each repetition's per-cell fan-out.  The
+    ``passes=0`` exact oracle has no plane cells and feeds its
+    repetitions directly.
     """
 
     def __init__(
@@ -139,8 +129,6 @@ class GSumEstimator(MergeableSketch):
         cs_pool_policy: str = "sample",
         shards: int = 1,
         shard_mode: str = "thread",
-        shard_axis: str = "slab",
-        fused: bool = True,
     ):
         if passes not in (0, 1, 2):
             raise ValueError("passes must be 0 (exact), 1, or 2")
@@ -148,16 +136,6 @@ class GSumEstimator(MergeableSketch):
             raise ValueError("repetitions must be positive")
         if shards < 1:
             raise ValueError("shards must be positive")
-        if shard_axis not in ("slab", "repetition"):
-            raise ValueError(
-                f"shard_axis must be 'slab' or 'repetition', got {shard_axis!r}"
-            )
-        if shard_axis == "repetition" and shard_mode == "process":
-            raise ValueError(
-                "shard_axis='repetition' runs on threads only (the "
-                "repetition sketches live in this process); use "
-                "shard_axis='slab' for process-mode sharding"
-            )
         source = as_source(seed, "gsum")
         self.g = g
         self.n = int(n)
@@ -212,8 +190,6 @@ class GSumEstimator(MergeableSketch):
         ]
         self.shards = int(shards)
         self.shard_mode = str(shard_mode)
-        self.shard_axis = str(shard_axis)
-        self.fused = bool(fused)
         self._ingest_plan = None
         self._second_plan = None
         self._register_mergeable(
@@ -243,14 +219,15 @@ class GSumEstimator(MergeableSketch):
     def update_batch(
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
     ) -> None:
-        """Batched ingestion into every repetition's recursive sketch —
-        through the fused ingestion plane when enabled and the structure
-        is fusible (bit-for-bit identical either way; see
-        :mod:`repro.core.ingest_plan`)."""
-        if self.fused and fused_update_batch(self, items, deltas):
-            return
-        for sketch in self._sketches:
-            sketch.update_batch(items, deltas)
+        """Batched ingestion into every repetition's recursive sketch
+        through the fused ingestion plane (see
+        :mod:`repro.core.ingest_plan`); exact-oracle levels have no plane
+        cell, so ``passes=0`` feeds each repetition's own fan-out."""
+        if self.passes == 0:
+            for sketch in self._sketches:
+                sketch.update_batch(items, deltas)
+        else:
+            fused_update_batch(self, items, deltas)
 
     def _invalidate_ingest_plans(self) -> None:
         """Drop both cached plans: the structure is about to change (or
@@ -259,51 +236,17 @@ class GSumEstimator(MergeableSketch):
         self._ingest_plan = None
         self._second_plan = None
 
-    def _process_by_repetition(
-        self,
-        stream: TurnstileStream | Iterable[StreamUpdate],
-        chunk_size: int,
-        shards: int,
-        second_pass: bool,
-    ) -> "GSumEstimator":
-        """Per-repetition parallelism: every repetition's recursive sketch
-        ingests the whole stream on its own thread.  Each sketch performs
-        exactly the work sequential ingestion would, so the result is
-        trivially bit-identical — there is no spawn or merge step to pay
-        for, which is what makes this axis win at small stream sizes."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.streams.sharding import as_columnar, feed_chunks
-
-        items, deltas = as_columnar(stream, chunk_size)
-        workers = min(shards, len(self._sketches))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    feed_chunks, sketch, items, deltas, chunk_size, second_pass
-                )
-                for sketch in self._sketches
-            ]
-            for future in futures:
-                future.result()
-        return self
-
     def process(
         self,
         stream: TurnstileStream | Iterable[StreamUpdate],
         chunk_size: int = DEFAULT_CHUNK,
         shards: int | None = None,
     ) -> "GSumEstimator":
-        shards = self.shards if shards is None else shards
-        if shards > 1 and self.shard_axis == "repetition":
-            return self._process_by_repetition(
-                stream, chunk_size, shards, second_pass=False
-            )
         return drive(
             self,
             stream,
             chunk_size,
-            shards=shards,
+            shards=self.shards if shards is None else shards,
             shard_mode=self.shard_mode,
         )
 
@@ -345,10 +288,7 @@ class GSumEstimator(MergeableSketch):
     def update_batch_second_pass(
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
     ) -> None:
-        if self.fused and fused_update_batch_second_pass(self, items, deltas):
-            return
-        for sketch in self._sketches:
-            sketch.update_batch_second_pass(items, deltas)
+        fused_update_batch_second_pass(self, items, deltas)
 
     def process_second_pass(
         self,
@@ -356,16 +296,11 @@ class GSumEstimator(MergeableSketch):
         chunk_size: int = DEFAULT_CHUNK,
         shards: int | None = None,
     ) -> "GSumEstimator":
-        shards = self.shards if shards is None else shards
-        if shards > 1 and self.shard_axis == "repetition":
-            return self._process_by_repetition(
-                stream, chunk_size, shards, second_pass=True
-            )
         return drive_second_pass(
             self,
             stream,
             chunk_size,
-            shards=shards,
+            shards=self.shards if shards is None else shards,
             shard_mode=self.shard_mode,
         )
 
@@ -421,7 +356,7 @@ class GSumEstimator(MergeableSketch):
                 type(self),
                 config,
                 self._merge_lineage,
-                (self.shards, self.shard_mode, self.shard_axis, self.fused),
+                (self.shards, self.shard_mode),
                 self.to_state(),
             ),
         )
@@ -491,16 +426,11 @@ def _rebuild_estimator(cls, config, lineage, shard_opts, state):
     config = dict(config)
     if lineage is not None:
         config["seed"] = RandomSource.resolved(*lineage)
-    # Pre-fused pickles carried a 3-tuple; default them to fused ingestion.
-    shards, shard_mode, shard_axis = shard_opts[:3]
-    fused = shard_opts[3] if len(shard_opts) > 3 else True
-    estimator = cls(
-        **config,
-        shards=shards,
-        shard_mode=shard_mode,
-        shard_axis=shard_axis,
-        fused=fused,
-    )
+    # Older pickles append a shard axis (3-tuple) and a fused flag
+    # (4-tuple).  Both are ignored: every axis and ingest path gave the
+    # same bits, and slab sharding plus the fused plane are all that remain.
+    shards, shard_mode = shard_opts[:2]
+    estimator = cls(**config, shards=shards, shard_mode=shard_mode)
     if state.get("compat") != estimator.compat_digest():
         raise ValueError(
             "pickled estimator state does not match its rebuilt "

@@ -319,22 +319,26 @@ class TwoPassGHeavyHitter(MergeableSketch):
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
     ) -> None:
         """Batched first-pass ingestion."""
-        if self._second is not None:
-            raise RuntimeError("first pass is closed; use update_batch_second_pass")
-        self._countsketch.update_batch(items, deltas)
+        countsketch, _ = self.fused_cell()
+        countsketch.update_batch(items, deltas)
 
     def fused_cell(self) -> tuple:
         """``(countsketch, None)`` — the first-pass constituent the fused
         ingest plan stacks (no AMS half; second passes run through
-        :attr:`second_pass_counter` instead)."""
+        :attr:`second_pass_counter` instead).  Raises once the first pass
+        is closed, for the plan and :meth:`update_batch` alike."""
+        if self._second is not None:
+            raise RuntimeError("first pass is closed; use update_batch_second_pass")
         return self._countsketch, None
 
     @property
-    def second_pass_counter(self) -> "ExactCounter | None":
-        """The open second-pass exact tabulator (``None`` while the first
-        pass is still open).  The fused ingest plan dispatches surviving
-        ``(items, net)`` slices straight at it, and snapshots its identity
-        to detect pass transitions."""
+    def second_pass_counter(self) -> ExactCounter:
+        """The open second-pass exact tabulator; raises before
+        :meth:`begin_second_pass`.  The fused ingest plan dispatches
+        surviving ``(items, net)`` slices straight at it, and snapshots its
+        identity to detect pass transitions."""
+        if self._second is None:
+            raise RuntimeError("call begin_second_pass first")
         return self._second
 
     def begin_second_pass(self) -> None:
@@ -369,17 +373,13 @@ class TwoPassGHeavyHitter(MergeableSketch):
         )
 
     def update_second_pass(self, item: int, delta: int) -> None:
-        if self._second is None:
-            raise RuntimeError("call begin_second_pass first")
-        self._second.update(item, delta)
+        self.second_pass_counter.update(item, delta)
 
     def update_batch_second_pass(
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
     ) -> None:
         """Batched second-pass tabulation of first-pass candidates."""
-        if self._second is None:
-            raise RuntimeError("call begin_second_pass first")
-        self._second.update_batch(items, deltas)
+        self.second_pass_counter.update_batch(items, deltas)
 
     def run(self, stream: TurnstileStream) -> List[HeavyHitterPair]:
         """Convenience: both passes over a materialized stream."""

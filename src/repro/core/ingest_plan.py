@@ -4,10 +4,11 @@ stacked kernels.
 A ``GSumEstimator`` (and both universal sketches) is structurally a large
 fan-out: ``repetitions`` independent recursive sketches, each with
 ``levels + 1`` subsampling levels, each backed by a multi-row CountSketch
-(plus an AMS F2 sketch in the one-pass configuration).  The legacy ingest
-path walks that fan-out in Python per chunk — every cell re-deduplicates
+(plus an AMS F2 sketch in the one-pass configuration).  The per-cell
+fan-out (:meth:`~repro.core.recursive_sketch.RecursiveGSumSketch.update_batch`)
+walks that structure in Python per chunk — every cell re-deduplicates
 and re-hashes the same items — so per-cell numpy calls, not arithmetic,
-dominate the runtime.  An :class:`IngestPlan` collapses the walk:
+dominate its runtime.  An :class:`IngestPlan` collapses the walk:
 
 * **One plane.**  Every cell's CountSketch table is restacked into a
   single contiguous ``(cells, rows, buckets)`` float64 plane and the cell
@@ -36,8 +37,8 @@ scatter instead of per-row ``np.bincount``; shared dedup instead of
 per-cell) produce identical bits; the hash banks reproduce the per-hash
 arithmetic column for column.  ``tests/test_ingest_plan.py`` and the
 hypothesis interleavings in ``tests/test_property_codec_merge.py``
-enforce fused == legacy == scalar across both passes, merges, spawns,
-and all codecs.
+enforce fused == per-cell fan-out == scalar across both passes, merges,
+spawns, and all codecs.
 
 **Invalidation.**  A plan is a pure cache of *structure*: it holds the
 live sketch objects and the plane their tables view.  Any operation that
@@ -47,44 +48,33 @@ round-trips, ``spawn_sibling``, ``begin_second_pass`` /
 ``_invalidate_ingest_plans()`` on every such operation, and — belt and
 braces — :meth:`IngestPlan.is_valid` re-walks the object identities and
 ``table.base`` linkage every chunk, so even an unanticipated mutation
-falls back to a rebuild (or to the legacy path) instead of corrupting
-state.  Structures the plan cannot fuse (exact-oracle levels, a closed
-first pass) yield the :data:`UNFUSIBLE` sentinel and the estimator keeps
-its legacy loop, error surfaces included.
+degrades to a rebuild instead of corrupting state.
+
+**One path.**  The plan is the only batched ingest path of the estimators
+it serves; it never falls back.  A closed first pass or an unbegun second
+pass raises from the level hook the plan reads (``fused_cell()`` /
+``second_pass_counter``); the level's own batch methods raise through the
+same hooks, so each message has one owner.  Exact-oracle levels
+(``passes=0``) have no plane cell, so that estimator feeds its
+repetitions' per-cell fan-out instead.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.heavy_hitters import OnePassGHeavyHitter, TwoPassGHeavyHitter
 from repro.core.recursive_sketch import RecursiveGSumSketch
+from repro.sketch.exact import ExactCounter
 from repro.sketch.hashing import StackedKWiseBank
 from repro.streams.batching import as_batch
-
-
-class _Unfusible:
-    """Sentinel plan: the structure cannot be fused; keep the legacy path."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UNFUSIBLE"
-
-
-#: Cached in an estimator's plan slot when its level sketches cannot be
-#: stacked (exact-oracle levels, non-uniform dimensions, or a closed
-#: first pass); the estimator then runs its legacy per-sketch loop.
-UNFUSIBLE = _Unfusible()
 
 #: Per-cell bound on memoized hash rows (items).  Beyond it, misses are
 #: evaluated per chunk without being stored — correctness is unaffected,
 #: steady-state speed degrades toward the bank-only cost.  The AMS sign
 #: rows dominate the footprint (~1.8 KB per item at default dimensions).
-CACHE_ITEMS_LIMIT = int(os.environ.get("REPRO_INGEST_CACHE_ITEMS", str(1 << 15)))
+CACHE_ITEMS_LIMIT = 1 << 15
 
 
 class _PlaneCell:
@@ -95,7 +85,6 @@ class _PlaneCell:
         "owner",
         "cs",
         "ams",
-        "twopass",
         "bucket_bank",
         "sign_bank",
         "ams_bank",
@@ -106,11 +95,10 @@ class _PlaneCell:
         "ams_rows",
     )
 
-    def __init__(self, owner, cs, ams, twopass: bool, cell_index: int):
+    def __init__(self, owner, cs, ams, cell_index: int):
         self.owner = owner  # the (unwrapped) level heavy-hitter sketch
         self.cs = cs
         self.ams = ams
-        self.twopass = twopass
         self.bucket_bank = StackedKWiseBank.from_hashes(cs._bucket_hashes)
         self.sign_bank = StackedKWiseBank.from_sign_hashes(cs._sign_hashes)
         self.ams_bank = None if ams is None else ams.sign_bank
@@ -203,73 +191,57 @@ def _unwrap_level(level_sketch):
     return getattr(level_sketch, "inner", level_sketch)
 
 
-def _depth_bank(rep_sketches: Sequence[RecursiveGSumSketch]) -> StackedKWiseBank:
-    """All repetitions' subsampling bit polynomials in one bank."""
-    bits = []
-    for rep in rep_sketches:
-        subsample, _ = rep.ingest_layout()
-        bits.extend(subsample.bit_hashes())
-    return StackedKWiseBank.from_hashes(bits)
+class _CounterCell(NamedTuple):
+    """One (repetition, level) cell of a second pass: the level sketch and
+    its open exact tabulator."""
+
+    owner: object
+    counter: ExactCounter
 
 
-class IngestPlan:
-    """First-pass fused ingestion for one estimator's repetition fan-out.
+class _FusedPlan:
+    """What both plans share: the live repetition sketches, their cells
+    in walk order (repetition-major, level 0 first), the depth bank, the
+    per-chunk validity walk, and the survivor walk."""
 
-    Built lazily by :func:`build_ingest_plan`; holds strong references to
-    the live sketch objects, the stacked plane their CountSketch tables
-    view, the hash banks, and the per-cell memos.  See the module
-    docstring for the equality and invalidation contracts.
-    """
+    #: dtype of the per-item net deltas the survivor walk hands each cell.
+    _net_dtype = np.float64
 
     def __init__(
-        self,
-        rep_sketches: Sequence[RecursiveGSumSketch],
-        cells: List[List[_PlaneCell]],
-        plane: np.ndarray,
-        depth_bank: StackedKWiseBank,
-        levels: int,
+        self, rep_sketches: Sequence[RecursiveGSumSketch], cells: list, levels: int
     ):
         self._reps = list(rep_sketches)
         self._cells = cells
-        self._flat_cells = [cell for rep in cells for cell in rep]
-        self._plane = plane
-        self._flat_plane = plane.reshape(-1)
-        self._depth_bank = depth_bank
         self._levels = int(levels)
+        bits = []
+        for rep in self._reps:
+            subsample, _ = rep.ingest_layout()
+            bits.extend(subsample.bit_hashes())
+        self._depth_bank = StackedKWiseBank.from_hashes(bits)
 
-    # ------------------------------------------------------------ validity
+    def _cell_is_live(self, inner, cell) -> bool:
+        """Whether ``cell`` still fronts the live level sketch ``inner``."""
+        raise NotImplementedError
 
     def is_valid(self, rep_sketches: Sequence) -> bool:
         """True when the live structure is exactly the one this plan was
-        built from: same objects at every layer, every CountSketch table
-        still a view of the plane, every two-pass cell still in its first
-        pass.  Checked every chunk (a few dozen identity tests), so any
-        state mutation the explicit invalidation hooks miss degrades to a
-        rebuild, never to divergence."""
+        built from: same objects at every layer and each cell still live
+        (:meth:`_cell_is_live`).  Checked every chunk (a few dozen
+        identity tests), so any state mutation the explicit invalidation
+        hooks miss degrades to a rebuild, never to divergence."""
         if len(rep_sketches) != len(self._reps):
             return False
-        flat = iter(self._flat_cells)
-        for rep, ref in zip(rep_sketches, self._reps):
+        for rep, ref, rep_cells in zip(rep_sketches, self._reps, self._cells):
             if rep is not ref:
                 return False
             _, level_sketches = rep.ingest_layout()
-            if len(level_sketches) != self._levels + 1:
+            if len(level_sketches) != len(rep_cells):
                 return False
-            for level_sketch in level_sketches:
-                cell = next(flat)
+            for level_sketch, cell in zip(level_sketches, rep_cells):
                 inner = _unwrap_level(level_sketch)
-                if inner is not cell.owner:
-                    return False
-                cs, ams = inner.fused_cell()
-                if cs is not cell.cs or ams is not cell.ams:
-                    return False
-                if cs._table.base is not self._plane:
-                    return False
-                if cell.twopass and inner.second_pass_counter is not None:
+                if inner is not cell.owner or not self._cell_is_live(inner, cell):
                     return False
         return True
-
-    # ------------------------------------------------------------- ingest
 
     def _depths(self, unique: np.ndarray) -> np.ndarray:
         """Per-repetition subsampling depths of the chunk's unique items,
@@ -284,24 +256,21 @@ class IngestPlan:
         )
         return np.minimum(alive.sum(axis=2, dtype=np.int64), self._levels).T
 
-    def update_batch(self, items, deltas) -> None:
-        """The fused chunk ingest: one dedup, one depth-bank pass, one
-        memo lookup per surviving cell, one plane-wide scatter, then the
-        per-cell AMS matmuls and candidate-pool admissions — bit-for-bit
-        the legacy per-sketch walk."""
+    def _survivors(self, items, deltas):
+        """Net the chunk once, then yield ``(cell, su, sn)`` for every cell
+        that has survivors, in walk order: ``su`` are the sorted unique
+        items that reach the cell's level and ``sn`` their net deltas.
+        Level ``j + 1`` filters level ``j``'s survivors instead of
+        rescanning the chunk."""
         items, deltas = as_batch(items, deltas)
         if items.shape[0] == 0:
             return
         unique, inverse = np.unique(items, return_inverse=True)
         net = np.bincount(
             inverse, weights=deltas.astype(np.float64), minlength=unique.shape[0]
-        )
+        ).astype(self._net_dtype, copy=False)
         depths = self._depths(unique)
-        key_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        admissions = []
-        for r, rep_cells in enumerate(self._cells):
-            d = depths[r]
+        for rep_cells, d in zip(self._cells, depths):
             idx = None  # survivor positions into ``unique``; None = all
             su, sn = unique, net
             for j, cell in enumerate(rep_cells):
@@ -311,13 +280,52 @@ class IngestPlan:
                         break
                     su = unique[idx]
                     sn = net[idx]
-                keys, signs, ams_rows = cell.lookup(su)
-                key_parts.append(keys.ravel())
-                weight_parts.append((signs * sn[:, None]).ravel())
-                if ams_rows is not None:
-                    cell.ams.apply_net(sn, ams_rows)
-                if cell.cs.track > 0:
-                    admissions.append((cell.cs, su))
+                yield cell, su, sn
+
+
+class IngestPlan(_FusedPlan):
+    """First-pass fused ingestion for one estimator's repetition fan-out.
+
+    Built lazily by :func:`build_ingest_plan`; holds strong references to
+    the live sketch objects, the stacked plane their CountSketch tables
+    view, the hash banks, and the per-cell memos.  See the module
+    docstring for the equality and invalidation contracts.
+    """
+
+    def __init__(
+        self,
+        rep_sketches: Sequence[RecursiveGSumSketch],
+        cells: List[List[_PlaneCell]],
+        levels: int,
+        plane: np.ndarray,
+    ):
+        super().__init__(rep_sketches, cells, levels)
+        self._plane = plane
+        self._flat_plane = plane.reshape(-1)
+
+    def _cell_is_live(self, inner, cell: _PlaneCell) -> bool:
+        # ``fused_cell()`` raises once a two-pass level's first pass closed.
+        cs, ams = inner.fused_cell()
+        return cs is cell.cs and ams is cell.ams and cs._table.base is self._plane
+
+    def update_batch(self, items, deltas) -> None:
+        """The fused chunk ingest: one dedup, one depth-bank pass, one
+        memo lookup per surviving cell, one plane-wide scatter, then the
+        per-cell AMS matmuls and candidate-pool admissions — bit-for-bit
+        the per-cell fan-out."""
+        key_parts: List[np.ndarray] = []
+        weight_parts: List[np.ndarray] = []
+        admissions = []
+        for cell, su, sn in self._survivors(items, deltas):
+            keys, signs, ams_rows = cell.lookup(su)
+            key_parts.append(keys.ravel())
+            weight_parts.append((signs * sn[:, None]).ravel())
+            if ams_rows is not None:
+                cell.ams.apply_net(sn, ams_rows)
+            if cell.cs.track > 0:
+                admissions.append((cell.cs, su))
+        if not key_parts:
+            return
         np.add.at(
             self._flat_plane,
             np.concatenate(key_parts),
@@ -325,211 +333,107 @@ class IngestPlan:
         )
         # Pool admissions run after the scatter so an evict-by-estimate
         # prune reads its cell's fully-updated table — exactly the state
-        # the legacy per-cell order (table rows, then pool) exposes.
+        # the per-cell order (table rows, then pool) exposes.
         for cs, su in admissions:
             cs._admit_batch(cs._fresh_candidates(su))
 
 
-class SecondPassIngestPlan:
+class SecondPassIngestPlan(_FusedPlan):
     """Fused second-pass dispatch for two-pass estimators: one dedup and
     one depth-bank pass per chunk, then each surviving cell's open
     :class:`~repro.sketch.exact.ExactCounter` tabulates its ``(items,
     net)`` slice directly — the counter's own (restricted, aggregated)
-    arithmetic, so end state is identical to the legacy fan-out."""
+    arithmetic, so end state is identical to the per-cell fan-out."""
 
-    def __init__(
-        self,
-        rep_sketches: Sequence[RecursiveGSumSketch],
-        cells: List[List[tuple]],
-        depth_bank: StackedKWiseBank,
-        levels: int,
-    ):
-        self._reps = list(rep_sketches)
-        self._cells = cells
-        self._flat_cells = [cell for rep in cells for cell in rep]
-        self._depth_bank = depth_bank
-        self._levels = int(levels)
+    _net_dtype = np.int64
 
-    def is_valid(self, rep_sketches: Sequence) -> bool:
-        if len(rep_sketches) != len(self._reps):
-            return False
-        flat = iter(self._flat_cells)
-        for rep, ref in zip(rep_sketches, self._reps):
-            if rep is not ref:
-                return False
-            _, level_sketches = rep.ingest_layout()
-            if len(level_sketches) != self._levels + 1:
-                return False
-            for level_sketch in level_sketches:
-                owner, counter = next(flat)
-                inner = _unwrap_level(level_sketch)
-                if inner is not owner:
-                    return False
-                if inner.second_pass_counter is not counter or counter is None:
-                    return False
-        return True
-
-    def _depths(self, unique: np.ndarray) -> np.ndarray:
-        bits = self._depth_bank.values_batch(unique)
-        alive = np.cumprod(
-            bits.reshape(unique.shape[0], len(self._reps), self._levels) == 1,
-            axis=2,
-        )
-        return np.minimum(alive.sum(axis=2, dtype=np.int64), self._levels).T
+    def _cell_is_live(self, inner, cell: _CounterCell) -> bool:
+        # ``second_pass_counter`` raises while the second pass is unbegun.
+        return inner.second_pass_counter is cell.counter
 
     def update_batch_second_pass(self, items, deltas) -> None:
-        items, deltas = as_batch(items, deltas)
-        if items.shape[0] == 0:
-            return
-        unique, inverse = np.unique(items, return_inverse=True)
-        net = np.bincount(
-            inverse, weights=deltas.astype(np.float64), minlength=unique.shape[0]
-        ).astype(np.int64)
-        depths = self._depths(unique)
-        for r, rep_cells in enumerate(self._cells):
-            d = depths[r]
-            idx = None
-            su, sn = unique, net
-            for j, (_, counter) in enumerate(rep_cells):
-                if j:
-                    idx = np.flatnonzero(d >= 1) if idx is None else idx[d[idx] >= j]
-                    if idx.shape[0] == 0:
-                        break
-                    su = unique[idx]
-                    sn = net[idx]
-                counter.update_batch(su, sn)
+        for cell, su, sn in self._survivors(items, deltas):
+            cell.counter.update_batch(su, sn)
 
 
 # --------------------------------------------------------------- builders
 
 
+def _level_grid(rep_sketches: Sequence[RecursiveGSumSketch]) -> tuple:
+    """``(levels, grid)``: the repetitions' common level count and, per
+    repetition, its unwrapped level sketches in walk order.  The depth
+    bank needs one level layout across repetitions."""
+    levels = rep_sketches[0].levels
+    grid = []
+    for rep in rep_sketches:
+        subsample, level_sketches = rep.ingest_layout()
+        if subsample.levels != levels or len(level_sketches) != levels + 1:
+            raise ValueError("fused ingestion needs one level layout per repetition")
+        grid.append([_unwrap_level(level_sketch) for level_sketch in level_sketches])
+    return levels, grid
+
+
 def build_ingest_plan(
     rep_sketches: Sequence, previous: "IngestPlan | None" = None
-):
-    """An :class:`IngestPlan` over the live repetition sketches, or
-    :data:`UNFUSIBLE` when the structure cannot be stacked.  Restacks
+) -> IngestPlan:
+    """An :class:`IngestPlan` over the live repetition sketches.  Restacks
     every CountSketch table into a fresh plane (rebinding ``cs._table``
     to a view — values copied exactly, protocol state untouched) and, on
     a rebuild, carries over per-cell hash memos for cells whose sketch
     objects survived (hash families are immutable, so the memo stays
     exact)."""
     reps = list(rep_sketches)
-    if not reps:
-        return UNFUSIBLE
-    cell_specs = []  # (owner, cs, ams, twopass) in legacy walk order
-    levels = None
-    for rep in reps:
-        if not isinstance(rep, RecursiveGSumSketch):
-            return UNFUSIBLE
-        subsample, level_sketches = rep.ingest_layout()
-        if levels is None:
-            levels = rep.levels
-        elif rep.levels != levels:
-            return UNFUSIBLE
-        if len(level_sketches) != levels + 1 or subsample.levels != levels:
-            return UNFUSIBLE
-        for level_sketch in level_sketches:
-            inner = _unwrap_level(level_sketch)
-            if isinstance(inner, OnePassGHeavyHitter):
-                cs, ams = inner.fused_cell()
-                cell_specs.append((inner, cs, ams, False))
-            elif isinstance(inner, TwoPassGHeavyHitter):
-                if inner.second_pass_counter is not None:
-                    return UNFUSIBLE  # first pass closed; legacy path errors
-                cs, ams = inner.fused_cell()
-                cell_specs.append((inner, cs, None, True))
-            else:
-                return UNFUSIBLE
-    rows = cell_specs[0][1].rows
-    buckets = cell_specs[0][1].buckets
-    sign_independence = cell_specs[0][1]._sign_hashes[0].base_hash.independence
-    for _, cs, _, _ in cell_specs:
-        if (
-            cs.rows != rows
-            or cs.buckets != buckets
-            or cs._sign_hashes[0].base_hash.independence != sign_independence
-        ):
-            return UNFUSIBLE
+    levels, grid = _level_grid(reps)
+    # Every hook runs before any table is rebound: a closed pass raises
+    # with the structure untouched.
+    specs = [(inner, *inner.fused_cell()) for rep in grid for inner in rep]
+    # Every level is built from one configuration, so cells share a shape.
+    rows, buckets = specs[0][1].rows, specs[0][1].buckets
     old_memos = {}
-    if previous is not None and not isinstance(previous, _Unfusible):
-        old_memos = {id(cell.cs): cell for cell in previous._flat_cells}
-    plane = np.empty((len(cell_specs), rows, buckets), dtype=np.float64)
+    if previous is not None:
+        old_memos = {id(cell.cs): cell for rep in previous._cells for cell in rep}
+    plane = np.empty((len(specs), rows, buckets), dtype=np.float64)
     flat_cells: List[_PlaneCell] = []
-    for i, (owner, cs, ams, twopass) in enumerate(cell_specs):
+    for i, (owner, cs, ams) in enumerate(specs):
         plane[i] = cs._table
         cs._table = plane[i]
-        cell = _PlaneCell(owner, cs, ams, twopass, i)
+        cell = _PlaneCell(owner, cs, ams, i)
         old = old_memos.get(id(cs))
         if old is not None and old.cs is cs:
             cell.adopt_memo(old)
         flat_cells.append(cell)
-    per_rep = len(flat_cells) // len(reps)
-    cells = [
-        flat_cells[r * per_rep : (r + 1) * per_rep] for r in range(len(reps))
-    ]
-    return IngestPlan(reps, cells, plane, _depth_bank(reps), levels)
+    per_rep = levels + 1
+    cells = [flat_cells[r * per_rep : (r + 1) * per_rep] for r in range(len(reps))]
+    return IngestPlan(reps, cells, levels, plane)
 
 
-def build_second_pass_plan(rep_sketches: Sequence):
-    """A :class:`SecondPassIngestPlan` over the live repetition sketches,
-    or :data:`UNFUSIBLE` when any level is not an open two-pass cell."""
+def build_second_pass_plan(rep_sketches: Sequence) -> SecondPassIngestPlan:
+    """A :class:`SecondPassIngestPlan` over the live repetition sketches'
+    open second-pass counters."""
     reps = list(rep_sketches)
-    if not reps:
-        return UNFUSIBLE
-    cells: List[List[tuple]] = []
-    levels = None
-    for rep in reps:
-        if not isinstance(rep, RecursiveGSumSketch):
-            return UNFUSIBLE
-        subsample, level_sketches = rep.ingest_layout()
-        if levels is None:
-            levels = rep.levels
-        elif rep.levels != levels:
-            return UNFUSIBLE
-        if len(level_sketches) != levels + 1 or subsample.levels != levels:
-            return UNFUSIBLE
-        rep_cells = []
-        for level_sketch in level_sketches:
-            inner = _unwrap_level(level_sketch)
-            if not isinstance(inner, TwoPassGHeavyHitter):
-                return UNFUSIBLE
-            counter = inner.second_pass_counter
-            if counter is None:
-                return UNFUSIBLE  # pass not begun; legacy path errors
-            rep_cells.append((inner, counter))
-        cells.append(rep_cells)
-    return SecondPassIngestPlan(reps, cells, _depth_bank(reps), levels)
+    levels, grid = _level_grid(reps)
+    cells = [
+        [_CounterCell(inner, inner.second_pass_counter) for inner in rep]
+        for rep in grid
+    ]
+    return SecondPassIngestPlan(reps, cells, levels)
 
 
 # ----------------------------------------------------------------- wiring
 
 
-def fused_update_batch(owner, items, deltas) -> bool:
+def fused_update_batch(owner, items, deltas) -> None:
     """Route a first-pass chunk through ``owner``'s cached plan, building
-    or rebuilding it as needed.  Returns False when the structure is
-    unfusible — the caller then runs its legacy loop (preserving error
-    surfaces such as updating a closed first pass)."""
+    or rebuilding it as needed."""
     plan = owner._ingest_plan
-    if plan is None:
-        plan = owner._ingest_plan = build_ingest_plan(owner._sketches)
-    elif plan is not UNFUSIBLE and not plan.is_valid(owner._sketches):
-        plan = owner._ingest_plan = build_ingest_plan(
-            owner._sketches, previous=plan
-        )
-    if plan is UNFUSIBLE:
-        return False
+    if plan is None or not plan.is_valid(owner._sketches):
+        plan = owner._ingest_plan = build_ingest_plan(owner._sketches, previous=plan)
     plan.update_batch(items, deltas)
-    return True
 
 
-def fused_update_batch_second_pass(owner, items, deltas) -> bool:
+def fused_update_batch_second_pass(owner, items, deltas) -> None:
     """Second-pass analogue of :func:`fused_update_batch`."""
     plan = owner._second_plan
-    if plan is None:
+    if plan is None or not plan.is_valid(owner._sketches):
         plan = owner._second_plan = build_second_pass_plan(owner._sketches)
-    elif plan is not UNFUSIBLE and not plan.is_valid(owner._sketches):
-        plan = owner._second_plan = build_second_pass_plan(owner._sketches)
-    if plan is UNFUSIBLE:
-        return False
     plan.update_batch_second_pass(items, deltas)
-    return True

@@ -107,7 +107,8 @@ class UniversalGSumSketch(MergeableSketch):
 
     Parameters mirror :class:`repro.core.gsum.GSumEstimator`; the g passed
     to the level sketches is only a placeholder (never evaluated during
-    streaming).
+    streaming).  Batched ingestion runs through the same fused ingestion
+    plane (:mod:`repro.core.ingest_plan`) as the estimator.
     """
 
     def __init__(
@@ -122,13 +123,11 @@ class UniversalGSumSketch(MergeableSketch):
         seed: int | RandomSource | None = None,
         cs_max_buckets: int = 1 << 14,
         cs_pool: int | None = None,
-        fused: bool = True,
     ):
         source = as_source(seed, "universal")
         self.n = int(n)
         self.epsilon = float(epsilon)
         self.repetitions = int(repetitions)
-        self.fused = bool(fused)
         self._ingest_plan = None
         self._second_plan = None
         placeholder = moment(2.0)
@@ -172,14 +171,10 @@ class UniversalGSumSketch(MergeableSketch):
     def update_batch(
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
     ) -> None:
-        """Batched ingestion into every repetition's recursive sketch —
-        fused through the shared ingestion plane when the structure
-        allows (bit-for-bit identical; see
-        :mod:`repro.core.ingest_plan`)."""
-        if self.fused and fused_update_batch(self, items, deltas):
-            return
-        for sketch in self._sketches:
-            sketch.update_batch(items, deltas)
+        """Batched ingestion into every repetition's recursive sketch
+        through the fused ingestion plane (bit-for-bit each repetition's
+        per-cell fan-out; see :mod:`repro.core.ingest_plan`)."""
+        fused_update_batch(self, items, deltas)
 
     def _invalidate_ingest_plans(self) -> None:
         self._ingest_plan = None
@@ -396,7 +391,8 @@ class TwoPassUniversalSketch(UniversalGSumSketch):
     """Universal sketch over Algorithm-1 levels: pass one identifies
     candidates, pass two tabulates their frequencies exactly, and any g —
     including unpredictable ones like ``(2+sin sqrt x) x^2`` — evaluates
-    post hoc on exact frequencies."""
+    post hoc on exact frequencies.  Both passes ingest batches through the
+    fused ingestion plane (:mod:`repro.core.ingest_plan`)."""
 
     def __init__(
         self,
@@ -410,13 +406,11 @@ class TwoPassUniversalSketch(UniversalGSumSketch):
         seed: int | RandomSource | None = None,
         cs_max_buckets: int = 1 << 14,
         cs_pool: int | None = None,
-        fused: bool = True,
     ):
         source = as_source(seed, "universal2")
         self.n = int(n)
         self.epsilon = float(epsilon)
         self.repetitions = int(repetitions)
-        self.fused = bool(fused)
         self._ingest_plan = None
         self._second_plan = None
         placeholder = moment(2.0)
@@ -462,10 +456,8 @@ class TwoPassUniversalSketch(UniversalGSumSketch):
     def update_batch_second_pass(
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
     ) -> None:
-        if self.fused and fused_update_batch_second_pass(self, items, deltas):
-            return
-        for sketch in self._sketches:
-            sketch.update_batch_second_pass(items, deltas)
+        """Batched second pass through the fused second-pass plan."""
+        fused_update_batch_second_pass(self, items, deltas)
 
     def run(self, stream: TurnstileStream) -> "TwoPassUniversalSketch":
         """Drive both passes over a materialized stream."""

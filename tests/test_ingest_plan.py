@@ -1,4 +1,4 @@
-"""Fused ingestion plane: bit-for-bit equivalence with the legacy fan-out.
+"""Fused ingestion plane: bit-for-bit equivalence with the per-cell fan-out.
 
 The ingest plan reorders integer-valued float64 additions (exact below
 2^53) and evaluates the same hash families through stacked coefficient
@@ -8,6 +8,11 @@ approximate closeness.  The suite covers both passes, the universal
 wrappers, every codec round-trip mid-stream, and each protocol operation
 that must invalidate the plan (``merge``, ``spawn_sibling``,
 ``from_state``, ``begin_second_pass``, ``import_candidates``).
+
+The oracle side of every comparison is a twin estimator (same seed) that
+never touches the plan: :func:`_oracle_feed` sends each chunk to every
+repetition's own :meth:`RecursiveGSumSketch.update_batch` fan-out, and
+each case ends by asserting the twin never built a plan.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import pytest
 
 from repro.core import ingest_plan
 from repro.core.gsum import GSumEstimator
-from repro.core.ingest_plan import UNFUSIBLE, build_ingest_plan
 from repro.core.universal import TwoPassUniversalSketch, UniversalGSumSketch
 from repro.functions.library import moment
 from repro.sketch.codec import CODECS
@@ -38,29 +42,42 @@ def _stream(seed: int, size: int = 400) -> tuple[np.ndarray, np.ndarray]:
     return items, deltas
 
 
-def _gsum(seed: int, passes: int = 1, fused: bool = True, **kw) -> GSumEstimator:
+def _gsum(seed: int, passes: int = 1, **kw) -> GSumEstimator:
     return GSumEstimator(
         moment(2.0), N, epsilon=0.5, passes=passes, heaviness=0.4,
-        repetitions=2, seed=seed, fused=fused, **kw,
+        repetitions=2, seed=seed, **kw,
     )
 
 
 def _pair(seed: int, passes: int = 1, **kw):
-    """A (fused, legacy) pair sharing identical hash families."""
-    return _gsum(seed, passes, fused=True, **kw), _gsum(seed, passes, fused=False, **kw)
+    """A (fused, oracle) pair sharing identical hash families."""
+    return _gsum(seed, passes, **kw), _gsum(seed, passes, **kw)
 
 
 def _state(est) -> str:
     return json.dumps(est.to_state(codec="dense-json"), sort_keys=True)
 
 
-def _feed(est, items, deltas, chunk: int = CHUNK) -> None:
+def _feed(est, items, deltas, chunk: int = CHUNK, second_pass: bool = False) -> None:
+    method = est.update_batch_second_pass if second_pass else est.update_batch
     for i in range(0, items.shape[0], chunk):
-        est.update_batch(items[i:i + chunk], deltas[i:i + chunk])
+        method(items[i:i + chunk], deltas[i:i + chunk])
 
 
-def _assert_twin(fused, legacy) -> None:
-    assert _state(fused) == _state(legacy)
+def _oracle_feed(
+    est, items, deltas, chunk: int = CHUNK, second_pass: bool = False
+) -> None:
+    """The reference path: each chunk goes to every repetition's own
+    per-cell fan-out, bypassing the estimator (and so its plan)."""
+    name = "update_batch_second_pass" if second_pass else "update_batch"
+    for i in range(0, items.shape[0], chunk):
+        for rep in est._sketches:
+            getattr(rep, name)(items[i:i + chunk], deltas[i:i + chunk])
+
+
+def _assert_twin(fused, oracle) -> None:
+    assert _state(fused) == _state(oracle)
+    assert oracle._ingest_plan is None and oracle._second_plan is None
 
 
 class TestStackedKWiseBank:
@@ -94,7 +111,7 @@ class TestFusedEqualsLegacy:
         fused, legacy = _pair(11)
         items, deltas = _stream(1)
         _feed(fused, items, deltas)
-        _feed(legacy, items, deltas)
+        _oracle_feed(legacy, items, deltas)
         _assert_twin(fused, legacy)
         assert fused.estimate() == legacy.estimate()
         probe = np.arange(N, dtype=np.int64)
@@ -105,7 +122,7 @@ class TestFusedEqualsLegacy:
         items, deltas = _stream(2, size=120)
         for i in range(0, items.shape[0], 40):
             fused.update_batch(items[i:i + 40], deltas[i:i + 40])
-            legacy.update_batch(items[i:i + 40], deltas[i:i + 40])
+            _oracle_feed(legacy, items[i:i + 40], deltas[i:i + 40])
             fused.update(int(items[i]), int(deltas[i]))
             legacy.update(int(items[i]), int(deltas[i]))
         _assert_twin(fused, legacy)
@@ -113,11 +130,10 @@ class TestFusedEqualsLegacy:
     def test_second_pass_bit_identical(self):
         fused, legacy = _pair(13, passes=2)
         items, deltas = _stream(3)
-        for est in (fused, legacy):
-            _feed(est, items, deltas)
+        for est, feed in ((fused, _feed), (legacy, _oracle_feed)):
+            feed(est, items, deltas)
             est.begin_second_pass()
-            for i in range(0, items.shape[0], CHUNK):
-                est.update_batch_second_pass(items[i:i + CHUNK], deltas[i:i + CHUNK])
+            feed(est, items, deltas, second_pass=True)
         _assert_twin(fused, legacy)
         assert fused.estimate() == legacy.estimate()
 
@@ -127,16 +143,16 @@ class TestFusedEqualsLegacy:
         cuts = [0, 1, 1, 7, 40, 41, 150]
         for lo, hi in zip(cuts, cuts[1:]):
             fused.update_batch(items[lo:hi], deltas[lo:hi])
-            legacy.update_batch(items[lo:hi], deltas[lo:hi])
+            _oracle_feed(legacy, items[lo:hi], deltas[lo:hi])
         _assert_twin(fused, legacy)
 
     def test_universal_sketch_bit_identical(self):
         kw = dict(epsilon=0.5, heaviness=0.4, repetitions=2, seed=21)
-        fused = UniversalGSumSketch(N, fused=True, **kw)
-        legacy = UniversalGSumSketch(N, fused=False, **kw)
+        fused = UniversalGSumSketch(N, **kw)
+        legacy = UniversalGSumSketch(N, **kw)
         items, deltas = _stream(5)
         _feed(fused, items, deltas)
-        _feed(legacy, items, deltas)
+        _oracle_feed(legacy, items, deltas)
         _assert_twin(fused, legacy)
         g = moment(2.0)
         assert fused.estimate(g) == legacy.estimate(g)
@@ -144,14 +160,13 @@ class TestFusedEqualsLegacy:
 
     def test_two_pass_universal_bit_identical(self):
         kw = dict(epsilon=0.5, heaviness=0.4, repetitions=2, seed=22)
-        fused = TwoPassUniversalSketch(N, fused=True, **kw)
-        legacy = TwoPassUniversalSketch(N, fused=False, **kw)
+        fused = TwoPassUniversalSketch(N, **kw)
+        legacy = TwoPassUniversalSketch(N, **kw)
         items, deltas = _stream(6)
-        for est in (fused, legacy):
-            _feed(est, items, deltas)
+        for est, feed in ((fused, _feed), (legacy, _oracle_feed)):
+            feed(est, items, deltas)
             est.begin_second_pass()
-            for i in range(0, items.shape[0], CHUNK):
-                est.update_batch_second_pass(items[i:i + CHUNK], deltas[i:i + CHUNK])
+            feed(est, items, deltas, second_pass=True)
         _assert_twin(fused, legacy)
 
     def test_memo_cap_overflow_path(self, monkeypatch):
@@ -161,7 +176,7 @@ class TestFusedEqualsLegacy:
         fused, legacy = _pair(15)
         items, deltas = _stream(7)
         _feed(fused, items, deltas)
-        _feed(legacy, items, deltas)
+        _oracle_feed(legacy, items, deltas)
         _assert_twin(fused, legacy)
 
 
@@ -172,14 +187,14 @@ class TestInvalidationPaths:
         items, deltas = _stream(8)
         half = items.shape[0] // 2
         _feed(fused, items[:half], deltas[:half])
-        _feed(legacy, items[:half], deltas[:half])
+        _oracle_feed(legacy, items[:half], deltas[:half])
         # Round-trip rebinds every table array, severing the plane views;
         # the plan must detect it and rebuild rather than scatter into a
         # dead plane.
         fused = fused.spawn_sibling().from_state(fused.to_state(codec=codec))
         legacy = legacy.spawn_sibling().from_state(legacy.to_state(codec=codec))
         _feed(fused, items[half:], deltas[half:])
-        _feed(legacy, items[half:], deltas[half:])
+        _oracle_feed(legacy, items[half:], deltas[half:])
         _assert_twin(fused, legacy)
 
     def test_merge_mid_stream(self):
@@ -188,100 +203,121 @@ class TestInvalidationPaths:
         half = items.shape[0] // 2
         shard_f, shard_l = fused.spawn_sibling(), legacy.spawn_sibling()
         _feed(fused, items[:half], deltas[:half])
-        _feed(legacy, items[:half], deltas[:half])
+        _oracle_feed(legacy, items[:half], deltas[:half])
         _feed(shard_f, items[half:], deltas[half:])
-        _feed(shard_l, items[half:], deltas[half:])
+        _oracle_feed(shard_l, items[half:], deltas[half:])
+        assert shard_l._ingest_plan is None
         fused.merge(shard_f)
         legacy.merge(shard_l)
         # Keep streaming after the merge — the merged tables (still plane
         # views, merge adds in place) must accumulate correctly.
         more_i, more_d = _stream(10, size=100)
         _feed(fused, more_i, more_d)
-        _feed(legacy, more_i, more_d)
+        _oracle_feed(legacy, more_i, more_d)
         _assert_twin(fused, legacy)
 
     def test_spawn_sibling_gets_fresh_plan(self):
         fused, legacy = _pair(33)
         items, deltas = _stream(11)
         _feed(fused, items, deltas)
-        _feed(legacy, items, deltas)
+        _oracle_feed(legacy, items, deltas)
         sib_f, sib_l = fused.spawn_sibling(), legacy.spawn_sibling()
         more_i, more_d = _stream(12, size=100)
         _feed(sib_f, more_i, more_d)
-        _feed(sib_l, more_i, more_d)
+        _oracle_feed(sib_l, more_i, more_d)
         _assert_twin(sib_f, sib_l)
         _assert_twin(fused, legacy)  # parent untouched by sibling traffic
 
     def test_second_pass_rebuild_after_roundtrip(self):
         fused, legacy = _pair(34, passes=2)
         items, deltas = _stream(13)
+        _feed(fused, items, deltas)
+        _oracle_feed(legacy, items, deltas)
         for est in (fused, legacy):
-            _feed(est, items, deltas)
             est.begin_second_pass()
         fused = fused.spawn_sibling().from_state(fused.to_state(codec="dense-json"))
         legacy = legacy.spawn_sibling().from_state(legacy.to_state(codec="dense-json"))
-        for est in (fused, legacy):
-            for i in range(0, items.shape[0], CHUNK):
-                est.update_batch_second_pass(items[i:i + CHUNK], deltas[i:i + CHUNK])
+        _feed(fused, items, deltas, second_pass=True)
+        _oracle_feed(legacy, items, deltas, second_pass=True)
         _assert_twin(fused, legacy)
-
-    def test_shard_axis_repetition_equivalence(self):
-        sharded = _gsum(35, shards=2, shard_axis="repetition", fused=True)
-        legacy = _gsum(35, fused=False)
-        items, deltas = _stream(14)
-        _feed(sharded, items, deltas)
-        _feed(legacy, items, deltas)
-        _assert_twin(sharded, legacy)
 
 
 class TestFallbacks:
     def test_passes_zero_is_unfusible(self):
+        # Exact-oracle levels have no plane cell: passes=0 feeds each
+        # repetition's fan-out and never builds a plan.
         fused, legacy = _pair(41, passes=0)
         items, deltas = _stream(15)
         _feed(fused, items, deltas)
-        _feed(legacy, items, deltas)
-        assert fused._ingest_plan is UNFUSIBLE
+        _oracle_feed(legacy, items, deltas)
+        assert fused._ingest_plan is None
         _assert_twin(fused, legacy)
         assert fused.estimate() == legacy.estimate()
 
     def test_closed_first_pass_error_surface_preserved(self):
         fused, legacy = _pair(42, passes=2)
         items, deltas = _stream(16, size=100)
+        _feed(fused, items, deltas)
+        _oracle_feed(legacy, items, deltas)
         for est in (fused, legacy):
-            _feed(est, items, deltas)
             est.begin_second_pass()
+        before = _state(fused)
         with pytest.raises(RuntimeError, match="first pass is closed"):
-            legacy.update_batch(items[:10], deltas[:10])
+            legacy._sketches[0].update_batch(items[:10], deltas[:10])
         with pytest.raises(RuntimeError, match="first pass is closed"):
             fused.update_batch(items[:10], deltas[:10])
+        assert _state(fused) == before
 
     def test_second_pass_before_begin_errors(self):
         fused, legacy = _pair(43, passes=2)
         items, deltas = _stream(17, size=60)
         _feed(fused, items, deltas)
-        _feed(legacy, items, deltas)
+        _oracle_feed(legacy, items, deltas)
+        before = _state(fused)
         with pytest.raises(RuntimeError, match="begin_second_pass"):
-            legacy.update_batch_second_pass(items[:10], deltas[:10])
+            legacy._sketches[0].update_batch_second_pass(items[:10], deltas[:10])
         with pytest.raises(RuntimeError, match="begin_second_pass"):
             fused.update_batch_second_pass(items[:10], deltas[:10])
+        assert _state(fused) == before
 
-    def test_build_plan_on_foreign_sketches_is_unfusible(self):
-        assert build_ingest_plan([]) is UNFUSIBLE
-        assert build_ingest_plan([object()]) is UNFUSIBLE
+    @pytest.mark.parametrize("passes", [0, 1])
+    def test_second_pass_on_one_pass_estimator_errors(self, passes):
+        est = _gsum(45, passes=passes)
+        items, deltas = _stream(20, size=60)
+        _feed(est, items, deltas)
+        before = _state(est)
+        with pytest.raises((AttributeError, RuntimeError)):
+            est.update_batch_second_pass(items[:10], deltas[:10])
+        assert _state(est) == before
 
-    def test_pickle_round_trip_preserves_fused_flag(self):
+    def test_old_pickle_formats_load_and_ingest(self):
+        # Earlier releases pickled (shards, shard_mode, shard_axis, fused)
+        # and, before that, (shards, shard_mode, shard_axis).  Both still
+        # load, ignore the dropped slots, and keep ingesting through the
+        # plan bit-identically to the oracle.
         import pickle
 
-        fused = _gsum(44, fused=True)
-        legacy = _gsum(44, fused=False)
-        items, deltas = _stream(18, size=100)
-        _feed(fused, items, deltas)
-        _feed(legacy, items, deltas)
-        revived_f = pickle.loads(pickle.dumps(fused))
-        revived_l = pickle.loads(pickle.dumps(legacy))
-        assert revived_f.fused is True
-        assert revived_l.fused is False
-        more_i, more_d = _stream(19, size=80)
-        _feed(revived_f, more_i, more_d)
-        _feed(revived_l, more_i, more_d)
-        _assert_twin(revived_f, revived_l)
+        for shard_opts in ((2, "thread", "repetition", False), (2, "thread", "slab")):
+            est, legacy = _pair(44)
+            items, deltas = _stream(18, size=100)
+            _feed(est, items, deltas)
+            _oracle_feed(legacy, items, deltas)
+            rebuild, args = est.__reduce__()
+            old_args = args[:3] + (shard_opts,) + args[4:]
+            revived = pickle.loads(pickle.dumps(_Reduced(rebuild, old_args)))
+            assert (revived.shards, revived.shard_mode) == (2, "thread")
+            more_i, more_d = _stream(19, size=80)
+            _feed(revived, more_i, more_d)
+            _oracle_feed(legacy, more_i, more_d)
+            _assert_twin(revived, legacy)
+
+
+class _Reduced:
+    """Pickles as an arbitrary ``(callable, args)`` pair — here an
+    estimator reduction in an older release's argument layout."""
+
+    def __init__(self, rebuild, args):
+        self._reduced = (rebuild, args)
+
+    def __reduce__(self):
+        return self._reduced

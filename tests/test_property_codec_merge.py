@@ -113,18 +113,31 @@ class TestCountMinInterleavings:
             assert folded.estimate(item) == reference.estimate(item)
 
 
-def run_fleet_plan(root, plan):
-    """Execute one interleaving plan on a fleet of siblings of ``root``
-    and fold; run once with a fused root and once with a legacy root —
-    whatever the interleaving of updates, merges, and codec round-trips,
-    the ingest plan must land on the same bits as the per-cell fan-out."""
+def fused_feed(shard, items, deltas):
+    shard.update_batch(items, deltas)
+
+
+def oracle_feed(shard, items, deltas):
+    """The reference path: every repetition's own per-cell fan-out,
+    bypassing the estimator's fused plan."""
+    for rep in shard._sketches:
+        rep.update_batch(items, deltas)
+
+
+def run_fleet_plan(root, plan, feed):
+    """Execute one interleaving plan on a fleet of siblings of ``root``,
+    ingesting every update through ``feed(shard, items, deltas)``; return
+    the fleet unfolded.  Run once with :func:`fused_feed` and once with
+    :func:`oracle_feed` — whatever the interleaving of updates, merges,
+    and codec round-trips, the ingest plan must land on the same bits as
+    the per-cell fan-out."""
     shards = [root.spawn_sibling() for _ in range(SHARDS)]
     for op in plan:
         if op[0] == "update":
             _, idx, updates = op
             items = np.asarray([item for item, _ in updates], dtype=np.int64)
             deltas = np.asarray([delta for _, delta in updates], dtype=np.int64)
-            shards[idx].update_batch(items, deltas)
+            feed(shards[idx], items, deltas)
         elif op[0] == "merge":
             _, a, b = op
             if a == b:
@@ -135,31 +148,40 @@ def run_fleet_plan(root, plan):
             _, idx, codec = op
             state = shards[idx].to_state(codec=codec)
             shards[idx] = shards[idx].spawn_sibling().from_state(state)
-    folded = shards[0]
-    for shard in shards[1:]:
+    return shards
+
+
+def fold(fleet):
+    folded = fleet[0]
+    for shard in fleet[1:]:
         folded.merge(shard)
     return folded
 
 
 class TestFusedIngestInterleavings:
     """The fused ingestion plane under the same adversarial interleavings:
-    a fused GSum fleet and a legacy fleet replay one plan and must agree
+    a fused GSum fleet and an oracle fleet replay one plan and must agree
     bit for bit on the full serialized state.  Every merge and codec
     round-trip in the plan exercises a plan-invalidation path (rebound
     tables, replaced sketch lists) mid-stream."""
 
     @staticmethod
-    def _make(fused):
+    def _make():
         return GSumEstimator(
             moment(2.0), DOMAIN, epsilon=0.5, heaviness=0.4,
-            repetitions=2, seed=404, fused=fused,
+            repetitions=2, seed=404,
         )
 
     @given(plans)
     @settings(max_examples=15, deadline=None)
     def test_fused_bit_identical_to_legacy(self, plan):
-        fused_fold = run_fleet_plan(self._make(True), plan)
-        legacy_fold = run_fleet_plan(self._make(False), plan)
+        fused_fleet = run_fleet_plan(self._make(), plan, fused_feed)
+        oracle_fleet = run_fleet_plan(self._make(), plan, oracle_feed)
+        assert all(
+            shard._ingest_plan is None and shard._second_plan is None
+            for shard in oracle_fleet
+        )
+        fused_fold, oracle_fold = fold(fused_fleet), fold(oracle_fleet)
         assert json.dumps(fused_fold.to_state(codec="dense-json"), sort_keys=True) == \
-            json.dumps(legacy_fold.to_state(codec="dense-json"), sort_keys=True)
-        assert fused_fold.estimate() == legacy_fold.estimate()
+            json.dumps(oracle_fold.to_state(codec="dense-json"), sort_keys=True)
+        assert fused_fold.estimate() == oracle_fold.estimate()

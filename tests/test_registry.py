@@ -160,22 +160,6 @@ class TestProcessModeEstimator:
         ).run(self.STREAM, exact=False)
         assert b.estimate == a.estimate
 
-    def test_repetition_axis_equal_serial(self):
-        serial = self._estimator(moment(2.0))
-        serial.process(self.STREAM)
-        by_rep = self._estimator(moment(2.0), shards=2,
-                                 shard_axis="repetition")
-        by_rep.process(self.STREAM)
-        assert by_rep.estimate() == serial.estimate()
-        assert dumps_state(by_rep.to_state()) == dumps_state(
-            serial.to_state()
-        )
-
-    def test_repetition_axis_rejects_process_mode(self):
-        with pytest.raises(ValueError, match="threads only"):
-            self._estimator(moment(2.0), shards=2, shard_mode="process",
-                            shard_axis="repetition")
-
     def test_unpicklable_estimator_process_mode_advises(self):
         bare = GFunction(lambda x: float(x * x), "adhoc")
         est = self._estimator(bare, shards=2, shard_mode="process")
