@@ -6,19 +6,17 @@ engine's thread pool, (b) through ``distributed_ingest`` (a one-round
 session of the round protocol) over the file drop-box transport, and (c)
 over the TCP socket transport, with thread- and process-hosted workers.
 Supplementary tables price the two-pass round protocol, the four state
-codecs (including the hybrid ``sparse-binary``), the coordinator's merge
-backends (serial vs thread tree vs GIL-free process tree), and the
-zero-copy shared-memory transport against its inlined-frame peers.  The states are asserted bit-identical to
-sequential ingestion at every point — the invariance contract survives
-crossing the wire — and the tables report the transport overhead
-(serialization + transport + merge) each deployment pays.
+codecs (including the hybrid ``sparse-binary``), and the coordinator's
+merge paths (serial folding vs the GIL-free process tree).  The states
+are asserted bit-identical to sequential ingestion at every point — the
+invariance contract survives crossing the wire — and the tables report
+the transport overhead (serialization + transport + merge) each
+deployment pays.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the reduced-size CI version.
 """
 
 import os
-import pathlib
-import tempfile
 import time
 
 import numpy as np
@@ -329,24 +327,13 @@ def test_s4_codec_payload_sizes():
     )
 
 
-def _shm_leftovers():
-    """Shared-memory segments this repo's transports could have leaked
-    (``rps*`` is the ShmTransport naming prefix).  Empty on healthy runs —
-    the drivers purge their channel in a ``finally`` — and asserted empty
-    so the bench doubles as a segment-GC regression test."""
-    shm_dir = pathlib.Path("/dev/shm")
-    if not shm_dir.is_dir():  # non-Linux: nothing globbable to check
-        return []
-    return sorted(str(p) for p in shm_dir.glob("rps*"))
-
-
-def test_s4_merge_modes():
-    """Thread vs process merge pool: end-to-end two-pass throughput with
-    streaming deltas fanned through ``merge_workers=2`` under each
-    backend, against the serial collector-thread fold.  Process mode is
-    the GIL-free path — decode + pre-merge happen in child interpreters —
-    so its win needs real cores; every cell is asserted bit-identical
-    either way."""
+def test_s4_merge_tree():
+    """Process merge tree vs serial folding: end-to-end two-pass
+    throughput with streaming deltas fanned through a ``merge_workers=2``
+    tree, against the serial collector-thread fold.  The tree is the
+    GIL-free path — decode + pre-merge happen in child interpreters — so
+    its win needs real cores; every cell is asserted bit-identical either
+    way."""
     count = len(STREAM)
     sequential = _two_pass_estimator()
     sequential.run(STREAM, exact=False)
@@ -354,17 +341,13 @@ def test_s4_merge_modes():
     delta_every = 2_000 if SMOKE else 25_000
 
     rows = []
-    for label, merge_workers, merge_mode in (
-        ("serial", 0, "thread"),
-        ("tree/thread", 2, "thread"),
-        ("tree/process", 2, "process"),
-    ):
+    for label, merge_workers in (("serial", 0), ("tree/process", 2)):
         dist = _two_pass_estimator()
         start = time.perf_counter()
         distributed_two_pass(
             dist, STREAM, workers=WORKERS, transport="file",
             delta_every=delta_every, codec="binary",
-            merge_workers=merge_workers, merge_mode=merge_mode,
+            merge_workers=merge_workers,
         )
         elapsed = time.perf_counter() - start
         identical = dumps_state(dist.to_state()) == reference
@@ -381,89 +364,12 @@ def test_s4_merge_modes():
         )
     emit_table(
         "S4_MERGE",
-        "coordinator merge backends: serial vs thread tree vs process tree",
+        "coordinator merge paths: serial vs process tree",
         rows,
-        claim="every merge backend reproduces the single-machine 2-pass "
+        claim="both merge paths reproduce the single-machine 2-pass "
         "state bit for bit; the process tree moves decode+merge off the "
         f"coordinator's GIL, so its win needs cores (this machine: {CPUS})",
     )
-
-
-def test_s4_zerocopy_transport():
-    """Zero-copy shared-memory transport vs the socket and file
-    transports: what one binary-codec state frame costs *in the drop-box*
-    (shm ships the raw buffers out of band, so only a header crosses the
-    file system) and what each transport sustains end to end on the
-    two-pass round protocol.  Leftover segments are asserted gone
-    afterwards — the bench doubles as the segment-GC regression check."""
-    from repro.distributed.transport import FileTransport, ShmTransport
-
-    count = len(STREAM)
-    sequential = _two_pass_estimator()
-    sequential.run(STREAM, exact=False)
-    reference = dumps_state(sequential.to_state())
-
-    # Drop-box bytes for one full worker-partition state under the binary
-    # codec: the file transport inlines the buffers, the shm transport
-    # writes a header and puts the buffers in a segment.
-    items, deltas = STREAM.as_arrays()
-    half = items.shape[0] // WORKERS
-    sibling = _two_pass_estimator().spawn_sibling()
-    sibling.update_batch(items[:half], deltas[:half])
-    state = sibling.to_state(codec="binary")
-    frame = delta_message(0, 1, 0, state)
-    dropbox_bytes = {"socket": len(dumps_frame(frame))}
-    for transport in ("file", "shm"):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-shm-") as rv:
-            box = FileTransport(rv) if transport == "file" else ShmTransport(rv)
-            if transport == "shm":
-                box.announce()
-            box.send_round(frame)
-            dropbox_bytes[transport] = sum(
-                p.stat().st_size
-                for p in pathlib.Path(rv).glob("rmsg-*.json")
-            )
-            box.purge()
-    # The zero-copy claim is structural, not hardware-dependent: the shm
-    # header must be dramatically smaller than the inlined frame.
-    assert dropbox_bytes["shm"] * 10 <= dropbox_bytes["file"], (
-        "shm drop-box header should be >=10x smaller than the inlined "
-        f"frame; got {dropbox_bytes['shm']} vs {dropbox_bytes['file']} bytes"
-    )
-
-    delta_every = 2_000 if SMOKE else 25_000
-    rows = []
-    for transport in ("file", "socket", "shm"):
-        dist = _two_pass_estimator()
-        start = time.perf_counter()
-        distributed_two_pass(
-            dist, STREAM, workers=WORKERS, transport=transport,
-            codec="binary", delta_every=delta_every,
-        )
-        elapsed = time.perf_counter() - start
-        identical = dumps_state(dist.to_state()) == reference
-        assert identical, f"2-pass via {transport}/binary: state diverged"
-        rows.append(
-            {
-                "transport": transport,
-                "codec": "binary",
-                "delta_every": delta_every,
-                "dropbox_frame_bytes": dropbox_bytes[transport],
-                "upd_per_sec": count / elapsed,
-                "state_identical": identical,
-            }
-        )
-    emit_table(
-        "S4_ZEROCOPY",
-        "zero-copy shm transport vs socket and file (binary codec)",
-        rows,
-        claim="the shm transport ships raw buffers through named segments "
-        "so only a header crosses the drop-box; every transport "
-        "reproduces the single-machine 2-pass state bit for bit "
-        f"(this machine: {CPUS} CPUs)",
-    )
-    leftovers = _shm_leftovers()
-    assert not leftovers, f"orphaned shared-memory segments: {leftovers}"
 
 
 def test_s4_state_sizes():

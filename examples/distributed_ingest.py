@@ -17,9 +17,9 @@ Four escalating demonstrations:
 2. The same over the **TCP socket transport** — length-prefixed frames
    over one persistent session per worker to an ephemeral local port,
    workers in separate processes.
-3. The **zero-copy shared-memory transport** — binary-codec buffers ship
-   through ``/dev/shm`` segments, only a small header crosses the
-   drop-box; the coordinator pre-merges in a GIL-free process pool.
+3. The **process merge tree** over the socket transport — workers ship
+   ``sparse-binary`` frames and the coordinator decodes and pre-merges
+   them in a GIL-free pool of child processes.
 4. The **CLI** (``repro worker`` / ``repro coordinate``) run as actual
    subprocesses, the way a real multi-machine deployment would.
 
@@ -75,12 +75,12 @@ def main() -> None:
     print(f"  merged state bit-identical to single-machine: {identical}")
     assert identical
 
-    # --- 3. zero-copy shared memory + process merge tree ----------------
-    print("=== shm transport: 4 thread workers, process merge tree ===")
+    # --- 3. process merge tree over sockets ------------------------------
+    print("=== socket transport: 4 thread workers, process merge tree ===")
     merged = distributed_ingest(
         CountSketch(5, 1024, track=32, seed=SEED), stream,
-        workers=4, transport="shm", codec="sparse-binary",
-        merge_workers=2, merge_mode="process",
+        workers=4, transport="socket", codec="sparse-binary",
+        merge_workers=2,
     )
     identical = np.array_equal(merged._table, ref_sketch._table)
     print(f"  merged state bit-identical to single-machine: {identical}")

@@ -10,17 +10,15 @@ ingest     measure scalar vs batch vs sharded ingestion throughput on a
            stream file (``--shards N`` exercises the parallel engine)
 worker     ingest one stream partition (or a whole shard file via
            ``--stream-file``) and ship the sketch state to a coordinator
-           round by round (file drop-box, TCP socket or shared-memory
-           transport); ``--passes 2`` adds the second round of the
-           two-pass protocol, ``--delta-every N`` streams incremental
-           state deltas
+           round by round (file drop-box or TCP socket transport);
+           ``--passes 2`` adds the second round of the two-pass
+           protocol, ``--delta-every N`` streams incremental state deltas
 coordinate collect worker states, merge them, and report — bit-identical
            to single-machine ingestion (``--verify-stream`` proves it);
            with ``--passes 2`` merges round-1 states, broadcasts the
            merged candidates, and merges round 2;
-           ``--merge-workers N`` folds frames through a parallel merge
-           tree instead of the collector thread (``--merge-mode process``
-           makes the tree GIL-free)
+           ``--merge-workers N`` folds frames through a process merge
+           tree of width N instead of the collector thread
 serve      long-lived asyncio HTTP/JSON query server over a snapshot
            store: ``/estimate``, ``/frequency/<item>``,
            ``/heavy-hitters``, ``/health``, ``/stats``; ``--live-chunk``
@@ -35,10 +33,6 @@ the nonzero cells as raw buffers).  The coordinator decodes every codec,
 so a mixed fleet still merges, and the merged result is bit-identical
 under any choice.  A worker that omits ``--codec`` *negotiates*: it
 adopts whatever the coordinator advertises in its round-2 broadcast.
-``--transport shm`` adds zero-copy shared-memory buffer shipping on top
-of the file drop-box for same-host fleets (workers prove same-hostness
-against the coordinator's beacon and fall back to inline files
-otherwise).
 
 The function argument accepts either a catalog name (see ``catalog``) or a
 Python expression in ``x`` (evaluated in a restricted math namespace),
@@ -221,15 +215,11 @@ def _sketch_spec(args: argparse.Namespace) -> dict:
 
 
 def _add_distributed_args(p: argparse.ArgumentParser, worker: bool) -> None:
-    p.add_argument("--transport", choices=("file", "socket", "shm"),
+    p.add_argument("--transport", choices=("file", "socket"),
                    default="file",
-                   help="file: drop-box directory; socket: TCP; shm: the "
-                        "drop-box plus zero-copy shared-memory buffer "
-                        "shipping for binary-codec frames (same-host "
-                        "fleets; workers fall back to inline files until "
-                        "the coordinator's beacon proves same-hostness)")
+                   help="file: drop-box directory; socket: TCP")
     p.add_argument("--rendezvous", required=True,
-                   help="drop-box directory (file/shm transports) or "
+                   help="drop-box directory (file transport) or "
                         "host:port (socket transport)")
     p.add_argument("--sketch",
                    choices=("gsum", "countsketch", "countmin", "ams"),
@@ -307,11 +297,7 @@ def _state_summary(sketch, codec: str) -> str:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.distributed.specs import build_sketch
-    from repro.distributed.transport import (
-        FileWorkerSession,
-        ShmWorkerSession,
-        SocketSession,
-    )
+    from repro.distributed.transport import FileWorkerSession, SocketSession
     from repro.distributed.worker import run_worker_rounds, worker_slice
 
     if not 0 <= args.worker_id < args.workers:
@@ -339,8 +325,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     if args.transport == "file":
         session = FileWorkerSession(args.rendezvous)
-    elif args.transport == "shm":
-        session = ShmWorkerSession(args.rendezvous)
     else:
         host, port = _socket_address(args.rendezvous)
         session = SocketSession(host, port, connect_timeout=args.timeout)
@@ -367,7 +351,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_coordinate(args: argparse.Namespace) -> int:
     from repro.distributed.coordinator import RoundCoordinator
     from repro.distributed.specs import build_sketch
-    from repro.distributed.transport import FileTransport, ShmTransport, SocketHub
+    from repro.distributed.transport import FileTransport, SocketHub
     from repro.sketch.base import dumps_state
 
     sketch = build_sketch(_sketch_spec(args))
@@ -375,8 +359,7 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
     def run_rounds(channel) -> RoundCoordinator:
         coordinator = RoundCoordinator(
             sketch, channel, args.workers, timeout=args.timeout,
-            merge_workers=args.merge_workers,
-            merge_mode=args.merge_mode, codec=args.codec,
+            merge_workers=args.merge_workers, codec=args.codec,
         )
         if args.passes == 2:
             coordinator.run_two_pass()
@@ -384,20 +367,15 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
             coordinator.run_single_pass()
         return coordinator
 
-    if args.transport in ("file", "shm"):
-        if args.transport == "shm":
-            channel = ShmTransport(args.rendezvous)
-            channel.announce()  # beacon: prove same-hostness to workers
-        else:
-            channel = FileTransport(args.rendezvous)
+    if args.transport == "file":
+        channel = FileTransport(args.rendezvous)
         # A leftover broadcast from a previous run on a reused rendezvous
         # dir would advance fresh workers to a stale round 2; worker
         # frames stay (workers may start first).
         channel.purge_broadcasts()
         coordinator = run_rounds(channel)
         # Consume the merged frames: a reused rendezvous dir must not feed
-        # this run's frames (or shm segments) to the next run's
-        # coordinator.
+        # this run's frames to the next run's coordinator.
         channel.purge()
     else:
         host, port = _socket_address(args.rendezvous)
@@ -618,15 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream file to ingest single-machine and compare "
                         "states bit-for-bit (exit 1 on mismatch)")
     p.add_argument("--merge-workers", type=int, default=0,
-                   help="fold worker frames through a parallel merge tree "
-                        "of this width (0/1 = serial merging; results are "
-                        "bit-identical either way)")
-    p.add_argument("--merge-mode", choices=("thread", "process"),
-                   default="thread",
-                   help="merge-tree backend with --merge-workers > 1: "
-                        "thread (decode/merge under the GIL) or process "
-                        "(GIL-free pre-merging in child processes); "
-                        "results are bit-identical either way")
+                   help="fold worker frames through a process merge tree "
+                        "of this width (0/1 = serial merging on the "
+                        "collector thread; results are bit-identical "
+                        "either way)")
     _add_distributed_args(p, worker=False)
     p.set_defaults(fn=_cmd_coordinate)
 

@@ -2,11 +2,10 @@
 
 N workers ingest disjoint stream partitions into sibling sketches and ship
 their serialized states (:meth:`~repro.sketch.base.MergeableSketch.to_state`
-JSON or binary frames) to a merging coordinator — over a file drop-box, a
-TCP socket, or a same-host shared-memory transport.  Because every
-sketch's merge is exact, the coordinator ends bit-identical to
-single-machine ingestion; the transports only decide *how* states travel,
-never *what* the answer is.
+JSON or binary frames) to a merging coordinator — over a file drop-box or
+a TCP socket.  Because every sketch's merge is exact, the coordinator
+ends bit-identical to single-machine ingestion; the transports only
+decide *how* states travel, never *what* the answer is.
 
 One protocol carries every job: the **round protocol**
 (:class:`~repro.distributed.coordinator.RoundCoordinator`,
@@ -34,17 +33,13 @@ from repro.distributed.driver import distributed_ingest, distributed_two_pass
 from repro.distributed.merger import MergePool
 from repro.distributed.specs import build_sketch
 from repro.distributed.transport import (
-    CollectTimeout,
     FileTransport,
     FileWorkerSession,
     RoundTracker,
-    ShmTransport,
-    ShmWorkerSession,
     SocketHub,
     SocketSession,
     TransportTimeout,
     WorkerFailure,
-    host_token,
 )
 from repro.distributed.wire import (
     delta_message,
@@ -63,14 +58,11 @@ from repro.distributed.worker import (
 )
 
 __all__ = [
-    "CollectTimeout",
     "FileTransport",
     "FileWorkerSession",
     "MergePool",
     "RoundCoordinator",
     "RoundTracker",
-    "ShmTransport",
-    "ShmWorkerSession",
     "SocketHub",
     "SocketSession",
     "TransportTimeout",
@@ -81,7 +73,6 @@ __all__ = [
     "distributed_ingest",
     "distributed_two_pass",
     "error_message",
-    "host_token",
     "partition_bounds",
     "recv_frame",
     "round_begin_message",

@@ -55,15 +55,14 @@ class RoundCoordinator:
         :class:`~repro.distributed.transport.TransportTimeout` naming the
         straggler worker ids.
     merge_workers:
-        ``0`` or ``1`` folds every frame serially on the collector thread
-        (the original path); ``> 1`` routes frames through a parallel
-        merge tree (:class:`~repro.distributed.merger.MergePool`) — each
-        frame decodes and pre-merges on the pool the moment it arrives,
-        and the partial accumulators fold into the root at round end.
-        Bit-identical to the serial path either way (states are linear).
-    merge_mode:
-        Merge-pool backend: ``"thread"`` (default) or ``"process"``
-        (GIL-free child-process pre-merging; the sketch must pickle).
+        ``0`` or ``1`` folds every frame serially on the collector
+        thread; ``> 1`` routes frames through a process merge tree of
+        that width (:class:`~repro.distributed.merger.MergePool`) — child
+        processes decode and pre-merge frame groups as they arrive, and
+        the group partials fold into the root at round end.  The tree
+        needs a picklable sketch (every spec-built one is); fold other
+        sketches serially.  Bit-identical to the serial path either way
+        (states are linear).
     codec:
         This coordinator's preferred state codec, advertised to workers
         in the ``round_begin`` broadcast (codec negotiation): a worker
@@ -86,7 +85,6 @@ class RoundCoordinator:
         workers: int,
         timeout: float = 120.0,
         merge_workers: int = 0,
-        merge_mode: str = "thread",
         codec: str | None = None,
         store=None,
     ):
@@ -99,7 +97,6 @@ class RoundCoordinator:
         self.workers = int(workers)
         self.timeout = float(timeout)
         self.merge_workers = int(merge_workers)
-        self.merge_mode = str(merge_mode)
         self.codec = codec
         self.store = store
         self.stale_frames = 0
@@ -128,16 +125,14 @@ class RoundCoordinator:
         the summary returns — callers observe a fully-merged structure
         either way."""
         if self.merge_workers > 1:
-            with MergePool(
-                self.structure, self.merge_workers, mode=self.merge_mode
-            ) as pool:
+            with MergePool(self.structure, self.merge_workers) as pool:
                 summary = self.channel.collect_round(
                     round_id, self.workers, timeout=self.timeout,
                     on_state=lambda message: pool.submit(message["state"]),
                 )
-                # Pool workers pre-merge into partial accumulators; only
-                # the final drain touches the root, so it is the single
-                # mutation (epoch) the round contributes.
+                # Pool children pre-merge frame groups; only the final
+                # drain touches the root, so it is the single mutation
+                # (epoch) the round contributes.
                 self._mutate(lambda structure: pool.drain())
         else:
             summary = self.channel.collect_round(

@@ -11,10 +11,9 @@ states (optionally as streaming delta frames), the coordinator broadcasts
 the merged candidate export, and round 2 merges the candidate-restricted
 second passes — bit-identical to single-machine
 :meth:`~repro.core.gsum.GSumEstimator.run`.  The states cross an actual
-file system, TCP socket, or shared-memory segment either way, so this
-exercises exactly the machinery a real multi-machine deployment uses;
-only the scheduling is local.  These are the integration surfaces the
-equality tests drive.
+file system or TCP socket either way, so this exercises exactly the
+machinery a real multi-machine deployment uses; only the scheduling is
+local.  These are the integration surfaces the equality tests drive.
 
 For genuinely separate machines, run ``repro worker`` on each shard host
 and ``repro coordinate`` on the collector (see :mod:`repro.cli`) — those
@@ -31,8 +30,6 @@ from repro.distributed.coordinator import RoundCoordinator
 from repro.distributed.transport import (
     FileTransport,
     FileWorkerSession,
-    ShmTransport,
-    ShmWorkerSession,
     SocketHub,
     SocketSession,
 )
@@ -41,7 +38,7 @@ from repro.streams.batching import DEFAULT_CHUNK
 from repro.streams.model import StreamUpdate, TurnstileStream
 from repro.streams.sharding import as_columnar, supports_sharding
 
-TRANSPORTS = ("file", "socket", "shm")
+TRANSPORTS = ("file", "socket")
 WORKER_MODES = ("thread", "process")
 
 
@@ -70,7 +67,6 @@ def distributed_ingest(
     timeout: float = 120.0,
     codec: str | None = None,
     merge_workers: int = 0,
-    merge_mode: str = "thread",
 ):
     """Ingest ``stream`` into ``structure`` through ``workers`` distributed
     workers over a real transport, as a one-round session of the round
@@ -87,10 +83,8 @@ def distributed_ingest(
         Worker count; each gets one contiguous stream partition.
     transport:
         ``"file"`` (drop-box directory; ``rendezvous`` names it, default a
-        fresh temp dir), ``"socket"`` (TCP on 127.0.0.1, ephemeral port),
-        or ``"shm"`` (the drop-box plus zero-copy shared-memory buffer
-        shipping for binary-codec frames — same-host fleets only, with
-        transparent inline fallback).
+        fresh temp dir) or ``"socket"`` (TCP on 127.0.0.1, ephemeral
+        port).
     mode:
         ``"thread"`` hosts workers on a thread pool; ``"process"`` on a
         process pool (siblings must pickle — see
@@ -101,18 +95,16 @@ def distributed_ingest(
         :mod:`repro.sketch.codec`); the merged result is bit-identical
         under any of them.
     merge_workers:
-        ``> 1`` folds the collected states through the parallel merge
-        tree (:mod:`repro.distributed.merger`) instead of serially.
-    merge_mode:
-        Merge-tree backend when ``merge_workers > 1``: ``"thread"``
-        (default) or ``"process"`` (GIL-free pre-merging).
+        ``> 1`` folds the collected states through a process merge tree
+        of that width (:mod:`repro.distributed.merger`) instead of
+        serially.  The tree needs a picklable ``structure`` (every
+        spec-built sketch is); fold other sketches serially.
     """
     _validate_common(structure, workers, transport, mode)
     return _run_session(
         structure, stream, workers, transport, mode, chunk_size,
         delta_every=0, passes=1, rendezvous=rendezvous, timeout=timeout,
-        codec=codec, merge_workers=merge_workers, merge_mode=merge_mode,
-        advertise_codec=None,
+        codec=codec, merge_workers=merge_workers, advertise_codec=None,
     )
 
 
@@ -124,8 +116,6 @@ def _spawned_round_worker(args):
      delta_every, passes, timeout, codec) = args
     if transport == "file":
         session = FileWorkerSession(endpoint)
-    elif transport == "shm":
-        session = ShmWorkerSession(endpoint)
     else:
         host, port = endpoint
         session = SocketSession(host, port, connect_timeout=timeout)
@@ -141,32 +131,27 @@ def _spawned_round_worker(args):
 
 def _run_session(
     structure, stream, workers, transport, mode, chunk_size, delta_every,
-    passes, rendezvous, timeout, codec, merge_workers, merge_mode,
-    advertise_codec,
+    passes, rendezvous, timeout, codec, merge_workers, advertise_codec,
 ):
     """Host a ``passes``-round session locally: ``workers`` workers (on a
     thread or process pool) ingest their partitions into siblings of
     ``structure`` and ship them through ``transport`` to a
     :class:`~repro.distributed.coordinator.RoundCoordinator` that merges
-    into ``structure``.  The channel, temp dir and shm segments are torn
-    down whatever happens.  Returns ``structure``."""
+    into ``structure``.  The channel and temp dir are torn down whatever
+    happens.  Returns ``structure``."""
     items, deltas = as_columnar(stream, chunk_size)
     siblings = [structure.spawn_sibling() for _ in range(workers)]
     partitions = [worker_slice(items, deltas, i, workers) for i in range(workers)]
 
     tempdir = None
     hub = None
-    channel = None
     try:
-        if transport in ("file", "shm"):
+        if transport == "file":
             if rendezvous is None:
                 tempdir = tempfile.TemporaryDirectory(prefix="repro-dist-")
                 rendezvous = tempdir.name
-            transport_cls = ShmTransport if transport == "shm" else FileTransport
-            channel = transport_cls(rendezvous)
+            channel = FileTransport(rendezvous)
             channel.purge()
-            if transport == "shm":
-                channel.announce()  # local run: every worker is same-host
             endpoint = rendezvous
         else:
             hub = SocketHub()
@@ -185,8 +170,7 @@ def _run_session(
             ]
             coordinator = RoundCoordinator(
                 structure, channel, workers, timeout,
-                merge_workers=merge_workers, merge_mode=merge_mode,
-                codec=advertise_codec,
+                merge_workers=merge_workers, codec=advertise_codec,
             )
             if passes == 2:
                 coordinator.run_two_pass()
@@ -198,8 +182,6 @@ def _run_session(
     finally:
         if hub is not None:
             hub.close()
-        if transport == "shm" and channel is not None:
-            channel.purge()  # unlink every segment this run created
         if tempdir is not None:
             tempdir.cleanup()
 
@@ -216,7 +198,6 @@ def distributed_two_pass(
     timeout: float = 120.0,
     codec: str | None = None,
     merge_workers: int = 0,
-    merge_mode: str = "thread",
     advertise_codec: str | None = None,
 ):
     """Run the full coordinated two-pass round protocol locally: round 1
@@ -240,9 +221,8 @@ def distributed_two_pass(
         with ``codec=None`` adopt it for their second-pass frames.
 
     ``codec`` picks the frame codec, ``merge_workers > 1`` fans frame
-    merging out across the coordinator's merge pool (``merge_mode``
-    selects its thread or process backend), exactly as in
-    :func:`distributed_ingest`.
+    merging out across the coordinator's process merge tree, exactly as
+    in :func:`distributed_ingest`.
     """
     _validate_common(structure, workers, transport, mode)
     if getattr(structure, "passes", 2) != 2:
@@ -261,5 +241,5 @@ def distributed_two_pass(
         structure, stream, workers, transport, mode, chunk_size,
         delta_every=delta_every, passes=2, rendezvous=rendezvous,
         timeout=timeout, codec=codec, merge_workers=merge_workers,
-        merge_mode=merge_mode, advertise_codec=advertise_codec,
+        advertise_codec=advertise_codec,
     )

@@ -27,26 +27,12 @@ same rounds (a 1-pass job is a one-round session):
     broadcast to all connected workers.  A connection dropping mid-round
     fails the round immediately instead of waiting for the timeout.
 
-:class:`ShmTransport` / :class:`ShmWorkerSession`
-    The zero-copy same-host shape: drop-box control flow identical to
-    :class:`FileTransport`, but the binary array buffers of each frame
-    ship through a named ``multiprocessing.shared_memory`` segment
-    instead of the file — the JSON envelope in the drop-box carries only
-    a segment handle, and the coordinator maps the segment read-only and
-    decodes straight out of it, no serialization round-trip.  Peers
-    prove same-hostness against a coordinator beacon file; a worker on a
-    different machine (or a frame with no binary buffers) transparently
-    falls back to the inline file shape, so mixed fleets still merge.
-
 Every collect path raises the single :class:`TransportTimeout` on expiry
-(:data:`CollectTimeout` remains as a backwards-compatible alias) and
-:class:`WorkerFailure` when a worker ships an ``error`` envelope.
+and :class:`WorkerFailure` when a worker ships an ``error`` envelope.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import pathlib
 import queue
 import socket
@@ -56,22 +42,12 @@ from typing import Callable, Dict, List, Set
 
 from repro.distributed.wire import (
     COORDINATOR_ID,
-    _attach_buffers,
-    _buffer_sizes,
-    _lift_buffers,
     dumps_frame,
     loads_frame,
     recv_frame,
     send_frame,
     validate_message,
 )
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    resource_tracker = None
-    shared_memory = None
-
 
 class WorkerFailure(RuntimeError):
     """A worker shipped an ``error`` envelope (or died mid-round) instead
@@ -82,10 +58,6 @@ class TransportTimeout(TimeoutError):
     """A transport wait (collect, broadcast poll, connect) expired.  Both
     transports raise exactly this class, so callers handle stragglers
     uniformly regardless of deployment shape."""
-
-
-#: Backwards-compatible alias (the pre-round-protocol exception name).
-CollectTimeout = TransportTimeout
 
 
 class _Backoff:
@@ -253,12 +225,9 @@ class FileTransport:
         atomic within a filesystem, so a polling peer never reads a
         half-written message."""
         validate_message(message)
-        self._write_atomic(path, dumps_frame(message))
-
-    def _write_atomic(self, path: pathlib.Path, payload: bytes) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         temp = path.with_suffix(".json.tmp")
-        temp.write_bytes(payload)
+        temp.write_bytes(dumps_frame(message))
         try:
             temp.replace(path)
         except FileNotFoundError:
@@ -266,12 +235,6 @@ class FileTransport:
             # for a frame whose round already completed (a stale
             # retransmit), which the tracker would drop anyway.
             pass
-
-    def _load(self, path: pathlib.Path) -> dict:
-        """Read one published frame file back into an envelope — the
-        single read-side hook subclasses override to resolve out-of-band
-        payloads (see :class:`ShmTransport`)."""
-        return loads_frame(path.read_bytes())
 
     # ---------------------------------------------------------- worker side
 
@@ -290,7 +253,7 @@ class FileTransport:
         path = self._broadcast_path(round_id)
         while True:
             if path.is_file():
-                return self._load(path)
+                return loads_frame(path.read_bytes())
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TransportTimeout(
@@ -325,7 +288,7 @@ class FileTransport:
                 for path in sorted(self.directory.glob("rmsg-*.json")):
                     if path.name in self._round_parsed:
                         continue
-                    message = self._load(path)
+                    message = loads_frame(path.read_bytes())
                     self._round_parsed.add(path.name)
                     progressed = True
                     if tracker.offer(message) == "delta":
@@ -426,277 +389,6 @@ class FileWorkerSession:
 
     def close(self) -> None:  # symmetry with SocketSession
         pass
-
-
-# ------------------------------------------------- shared-memory zero-copy
-
-def host_token() -> str:
-    """An identity string two processes share exactly when they run on
-    the same machine *since the same boot* (hostname alone survives
-    reboots and clones; the boot id does not)."""
-    boot = ""
-    try:
-        boot = (
-            pathlib.Path("/proc/sys/kernel/random/boot_id")
-            .read_text()
-            .strip()
-        )
-    except OSError:  # pragma: no cover - non-Linux hosts
-        pass
-    return f"{socket.gethostname()}:{boot}"
-
-
-def _untrack_segment(name: str) -> None:
-    """Opt a segment out of the per-process resource tracker.  Python
-    (< 3.13) registers every attach unconditionally, so each worker exit
-    would otherwise unlink segments the coordinator still reads and spam
-    leak warnings; this transport owns segment lifetime explicitly
-    (coordinator GC at round boundaries, :meth:`ShmTransport.purge`)."""
-    if resource_tracker is None:  # pragma: no cover - no shm support
-        return
-    try:
-        resource_tracker.unregister(name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker already gone
-        pass
-
-
-def _tracked_unlink(segment) -> None:
-    """Unlink with level tracker books: every attach untracked itself
-    immediately, but ``SharedMemory.unlink()`` sends its own unregister —
-    so re-register just before, and the pair cancels.  (An unmatched
-    unregister makes the tracker process print a KeyError traceback.)"""
-    if resource_tracker is not None:
-        try:
-            resource_tracker.register(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker already gone
-            pass
-    try:
-        segment.unlink()
-    except (OSError, ValueError):
-        # Concurrently unlinked: unlink raised before sending its
-        # unregister, so take the re-registration back out.
-        _untrack_segment(segment._name)
-
-
-class ShmTransport(FileTransport):
-    """Same-host zero-copy drop-box: :class:`FileTransport` control flow
-    with binary buffers shipped through named shared-memory segments.
-
-    The drop-box file for a frame carrying binary-codec arrays holds only
-    the JSON header (buffers lifted out, exactly as the socket transport's
-    binary frames do) plus a ``"shm_segment"`` handle; the buffer bytes
-    live in one ``multiprocessing.shared_memory`` segment per frame.  The
-    coordinator maps the segment and decodes arrays *directly out of the
-    mapping* — no base64, no JSON array parsing, no copy until the final
-    ``np.frombuffer(...).astype`` materializes the mutable array.
-
-    Same-host proof: the coordinator :meth:`announce`\\ s a beacon file
-    carrying its :func:`host_token`; a sender only uses shared memory
-    once it has seen a matching beacon, and falls back to the inline file
-    shape otherwise (different machine, beacon not yet written, frame
-    with no binary buffers, or ``/dev/shm`` creation failure).  Readers
-    accept both shapes per file, so mixed fleets merge fine.
-
-    Segment lifetime: writers create, fill, and close (never unlink);
-    the coordinator unlinks at round boundaries (:meth:`_gc_round` — by
-    *name pattern*, so segments orphaned by a killed worker die too) and
-    on :meth:`purge`.  Every attach is unregistered from the resource
-    tracker, which double-frees otherwise (see :func:`_untrack_segment`).
-    """
-
-    BEACON = "shm-host.json"
-
-    def __init__(self, directory, **kwargs):
-        super().__init__(directory, **kwargs)
-        digest = hashlib.sha256(
-            str(pathlib.Path(directory).resolve()).encode("utf-8")
-        ).hexdigest()[:8]
-        #: Segment-name prefix unique to this rendezvous directory, so
-        #: concurrent runs never collide and GC can glob safely.
-        self.segment_prefix = f"rps{digest}"
-        self._segments: Dict[str, object] = {}
-        self._deferred: List[object] = []
-        self._shm_peer: bool | None = None
-
-    # Sessions pickle their transport into process-hosted workers; open
-    # segment handles stay behind (they are per-process resources).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_segments"] = {}
-        state["_deferred"] = []
-        return state
-
-    # ------------------------------------------------------------ same-host
-
-    def announce(self) -> None:
-        """Coordinator side: publish the beacon workers check before
-        shipping through shared memory."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({"token": host_token()}).encode("utf-8")
-        temp = self.directory / (self.BEACON + ".tmp")
-        temp.write_bytes(payload)
-        temp.replace(self.directory / self.BEACON)
-
-    def _same_host(self) -> bool:
-        """Whether a coordinator beacon proves same-hostness.  Matches
-        and mismatches are cached; an *absent* beacon is re-checked per
-        send, so a worker that starts before the coordinator upgrades to
-        shared memory the moment the beacon lands."""
-        if self._shm_peer is not None:
-            return self._shm_peer
-        if shared_memory is None:  # pragma: no cover - no shm support
-            self._shm_peer = False
-            return False
-        try:
-            beacon = json.loads(
-                (self.directory / self.BEACON).read_text()
-            )
-        except (OSError, ValueError):
-            return False
-        self._shm_peer = beacon.get("token") == host_token()
-        return self._shm_peer
-
-    # ------------------------------------------------------------ write side
-
-    def _segment_name(self, path: pathlib.Path) -> str:
-        return f"{self.segment_prefix}-{path.name.removesuffix('.json')}"
-
-    def _publish(self, path: pathlib.Path, message: dict) -> None:
-        validate_message(message)
-        buffers: list = []
-        header = _lift_buffers(message, buffers)
-        if not buffers or not self._same_host():
-            self._write_atomic(path, dumps_frame(message))
-            return
-        name = self._segment_name(path)
-        segment = self._create_segment(
-            name, max(sum(len(b) for b in buffers), 1)
-        )
-        if segment is None:  # /dev/shm unavailable or full: inline
-            self._write_atomic(path, dumps_frame(message))
-            return
-        offset = 0
-        for buf in buffers:
-            segment.buf[offset : offset + len(buf)] = buf
-            offset += len(buf)
-        segment.close()
-        header["shm_segment"] = name
-        self._write_atomic(
-            path, json.dumps(header, separators=(",", ":")).encode("utf-8")
-        )
-
-    def _create_segment(self, name: str, size: int):
-        try:
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=size
-            )
-        except FileExistsError:
-            # A retransmit of the same frame name: replace the segment,
-            # mirroring how a frame file overwrites itself.
-            self._unlink_segment(name)
-            try:
-                segment = shared_memory.SharedMemory(
-                    name=name, create=True, size=size
-                )
-            except OSError:  # pragma: no cover - racing creators
-                return None
-        except (OSError, ValueError):  # pragma: no cover - shm exhausted
-            return None
-        _untrack_segment(segment._name)
-        return segment
-
-    # ------------------------------------------------------------- read side
-
-    def _load(self, path: pathlib.Path) -> dict:
-        data = path.read_bytes()
-        if not data.startswith(b"{"):
-            return loads_frame(data)
-        header = json.loads(data.decode("utf-8"))
-        name = header.pop("shm_segment", None)
-        if name is None:
-            return loads_frame(data)
-        segment = shared_memory.SharedMemory(name=name)
-        _untrack_segment(segment._name)
-        views, offset = [], 0
-        for nbytes in _buffer_sizes(header):
-            views.append(segment.buf[offset : offset + nbytes])
-            offset += nbytes
-        message = validate_message(_attach_buffers(header, views))
-        self._segments[name] = segment
-        return message
-
-    # ------------------------------------------------------------ lifecycle
-
-    def _unlink_segment(self, name: str) -> None:
-        """Unlink one segment by name (and close our mapping of it, when
-        decoding finished with the buffers; a mapping with live views
-        defers its close but the name still dies now, so ``/dev/shm``
-        never leaks)."""
-        segment = self._segments.pop(name, None)
-        if segment is None:
-            if shared_memory is None:  # pragma: no cover - no shm support
-                return
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            except (OSError, ValueError):
-                return  # never created, or already unlinked
-            _untrack_segment(segment._name)
-        _tracked_unlink(segment)
-        try:
-            segment.close()
-        except BufferError:
-            self._deferred.append(segment)
-
-    def _close_deferred(self) -> None:
-        still_live = []
-        for segment in self._deferred:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - views still exported
-                still_live.append(segment)
-        self._deferred = still_live
-
-    def _segment_files(self) -> List[pathlib.Path]:
-        """This rendezvous's segments currently present on the host, by
-        name pattern — including ones orphaned by killed workers whose
-        frame file never landed."""
-        shm_dir = pathlib.Path("/dev/shm")
-        if not shm_dir.is_dir():  # pragma: no cover - non-Linux hosts
-            return []
-        return list(shm_dir.glob(f"{self.segment_prefix}-*"))
-
-    def _gc_round(self, round_id: int) -> None:
-        super()._gc_round(round_id)
-        self._close_deferred()
-        for path in self._segment_files():
-            stem = path.name[len(self.segment_prefix) + 1 :]
-            if stem.startswith(("rmsg-", "bcast-")) and (
-                1 <= self._frame_round(stem) <= round_id
-            ):
-                self._unlink_segment(path.name)
-
-    def purge(self) -> None:
-        super().purge()
-        for name in list(self._segments):
-            self._unlink_segment(name)
-        for path in self._segment_files():
-            self._unlink_segment(path.name)
-        self._close_deferred()
-        try:
-            (self.directory / self.BEACON).unlink()
-        except OSError:
-            pass
-        self._shm_peer = None
-
-
-class ShmWorkerSession(FileWorkerSession):
-    """Worker-side session facade over a :class:`ShmTransport` — the
-    ``send`` / ``recv_broadcast`` surface of :class:`FileWorkerSession`
-    with buffers travelling through shared memory when the coordinator's
-    beacon proves same-hostness."""
-
-    def __init__(self, directory: str | pathlib.Path, **transport_kwargs):
-        self._transport = ShmTransport(directory, **transport_kwargs)
 
 
 # ------------------------------------------------------------- TCP sockets

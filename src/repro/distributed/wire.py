@@ -298,20 +298,28 @@ def dumps_frame(message: dict) -> bytes:
 
 
 def loads_frame(data: bytes) -> dict:
-    """Wire frame bytes -> validated envelope (either shape)."""
+    """Wire frame bytes -> validated envelope (either shape).  A malformed
+    frame of either shape raises ``ValueError``."""
     if not data.startswith(BINARY_MAGIC):
         return loads_message(data)
-    offset = len(BINARY_MAGIC)
-    (head_len,) = LENGTH_PREFIX.unpack_from(data, offset)
-    offset += LENGTH_PREFIX.size
+    offset = len(BINARY_MAGIC) + LENGTH_PREFIX.size
+    if len(data) < offset:
+        raise ValueError(
+            f"truncated binary frame: {len(data)} bytes, shorter than its "
+            f"{offset}-byte preamble"
+        )
+    (head_len,) = LENGTH_PREFIX.unpack_from(data, len(BINARY_MAGIC))
     header = json.loads(data[offset : offset + head_len].decode("utf-8"))
-    offset += head_len
+    cursor = offset + head_len
     buffers = []
-    cursor = offset
     for nbytes in _buffer_sizes(header):
         buffers.append(data[cursor : cursor + nbytes])
         cursor += nbytes
-    if cursor != len(data):
+    if cursor > len(data):
+        raise ValueError(
+            f"truncated binary frame: {len(data)} of {cursor} bytes"
+        )
+    if cursor < len(data):
         raise ValueError(
             f"binary frame length mismatch: {len(data) - cursor} trailing bytes"
         )
@@ -319,14 +327,27 @@ def loads_frame(data: bytes) -> dict:
 
 
 def _buffer_sizes(value, sizes: dict | None = None) -> list:
-    """Byte counts of the buffer section, in buffer-index order."""
+    """Byte counts of the buffer section, in buffer-index order.  Raises
+    ``ValueError`` unless every buffer spec carries a distinct
+    non-negative integer index and byte count, and the indices run
+    0..k-1 without a gap."""
     if sizes is None:
         sizes = {}
         _buffer_sizes(value, sizes)
+        if max(sizes, default=-1) != len(sizes) - 1:
+            raise ValueError(
+                f"binary frame buffer indices {sorted(sizes)} skip a number"
+            )
         return [sizes[i] for i in range(len(sizes))]
     if isinstance(value, dict):
         if value.get("codec") == "binary" and "buffer" in value:
-            sizes[int(value["buffer"])] = int(value["nbytes"])
+            index, nbytes = value["buffer"], value.get("nbytes")
+            if not (_is_count(index) and _is_count(nbytes)) or index in sizes:
+                raise ValueError(
+                    f"binary frame has a bad buffer spec (buffer {index!r}, "
+                    f"nbytes {nbytes!r})"
+                )
+            sizes[index] = nbytes
         else:
             for v in value.values():
                 _buffer_sizes(v, sizes)
@@ -334,6 +355,10 @@ def _buffer_sizes(value, sizes: dict | None = None) -> list:
         for v in value:
             _buffer_sizes(v, sizes)
     return []
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
 
 
 # ----------------------------------------------------------- socket frames

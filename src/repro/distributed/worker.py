@@ -7,9 +7,8 @@ randomness lineage — by construction from a shared spec, or by receiving a
 ``spawn_sibling()`` from the driver).
 
 :func:`run_worker_rounds` drives the round protocol over a persistent
-session (:class:`~repro.distributed.transport.SocketSession`,
-:class:`~repro.distributed.transport.FileWorkerSession` or
-:class:`~repro.distributed.transport.ShmWorkerSession`): ship the
+session (:class:`~repro.distributed.transport.SocketSession` or
+:class:`~repro.distributed.transport.FileWorkerSession`): ship the
 first-pass contribution as one or many streaming **delta frames**
 (:func:`ship_round`) — a 1-pass job ends there — and for two-pass
 estimation wait for the coordinator's candidate broadcast, verify it came

@@ -279,11 +279,3 @@ class MergeableSketch(ABC):
         codec round-trips, sibling spawns — must call this before the next
         ingest chunk.  The base sketch caches no plan, so this is a no-op
         hook; estimator layers that fuse their fan-out override it."""
-
-    def freeze(self, codec: str | None = None) -> "MergeableSketch":
-        """A copy-on-write snapshot: an independent sibling loaded with this
-        sketch's current state.  Equal to ``self`` for every query, shares
-        no mutable state, and is cheap under a compact codec (the
-        ``sparse-binary`` states are ~21x smaller than dense JSON).  This is
-        the primitive behind :class:`repro.serve.SnapshotStore`."""
-        return self.from_state(self.to_state(codec))

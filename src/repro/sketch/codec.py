@@ -31,8 +31,7 @@ Four codecs:
     cheaply, too sparse for dense buffers to pay off) get both wins:
     no zero cells on the wire *and* no per-cell JSON decode.  The
     nested specs are ordinary ``binary`` specs, so the wire layer's
-    buffer lifting and the shared-memory transport's zero-copy handoff
-    apply to them unchanged.
+    buffer lifting applies to them unchanged.
 
 Decoding never needs to be told the codec: every encoded value is
 self-describing (dispatch on its ``"codec"`` tag, with the untagged

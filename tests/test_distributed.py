@@ -7,19 +7,19 @@ ingestion — for a raw sketch and for the full ``GSumEstimator`` — and the
 coordinated two-pass **round protocol** (``distributed_two_pass()``, one
 state frame per round or streaming delta merges) reproduces
 single-machine 2-pass ``GSumEstimator.run()`` bit for bit over the same
-matrix.  The same gates cover the zero-copy
-shared-memory transport, the process-backed (GIL-free) merge tree, the
-sparse-binary codec, and codec-negotiated fleets.  Plus the protocol
-pieces: framing, envelope validation, failure propagation (worker crash
-mid-round, duplicate/stale frames, compat rejection of candidate
-broadcasts, corrupt frames re-raised from the merge pool), segment and
-tmp-file GC for killed workers, poll back-off, the many-files-per-worker
-mode, and the CLI commands.
+matrix.  The same gates cover the process merge tree at every width,
+the sparse-binary codec, and codec-negotiated fleets.  Plus the protocol
+pieces: framing, envelope validation (malformed binary frames included),
+failure propagation (worker crash mid-round, duplicate/stale frames,
+compat rejection of candidate broadcasts, corrupt frames re-raised from
+the merge pool), tmp-file GC for killed workers, poll back-off, the
+many-files-per-worker mode, and the CLI commands.
 """
 
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,13 +27,11 @@ import pytest
 from repro.cli import main
 from repro.core.gsum import GSumEstimator
 from repro.distributed import (
-    CollectTimeout,
     FileTransport,
     FileWorkerSession,
     MergePool,
     RoundCoordinator,
     RoundTracker,
-    ShmTransport,
     SocketHub,
     SocketSession,
     TransportTimeout,
@@ -53,6 +51,7 @@ from repro.distributed import (
     worker_slice,
 )
 from repro.distributed.specs import build_sketch
+from repro.distributed.wire import BINARY_MAGIC, LENGTH_PREFIX
 from repro.functions.library import moment
 from repro.sketch.base import dumps_state
 from repro.sketch.countsketch import CountSketch
@@ -372,9 +371,9 @@ class TestMergeTree:
             states.append(sibling.to_state())
         return states
 
-    def _pool_fold(self, states, workers, mode="thread"):
+    def _pool_fold(self, states, workers):
         root = fresh_countsketch()
-        with MergePool(root, workers=workers, mode=mode) as pool:
+        with MergePool(root, workers=workers) as pool:
             for state in states:
                 pool.submit(state)
             pool.drain()
@@ -419,58 +418,37 @@ class TestMergeTree:
         )
         assert pool.merged_frames == 7
 
-    @pytest.mark.parametrize("mode", ("thread", "process"))
-    def test_pool_surfaces_bad_states(self, mode):
-        """A non-sibling state re-raises from ``drain()`` — in process
-        mode the failure crosses the pool boundary instead of deadlocking
-        a child."""
+    def test_pool_surfaces_bad_states(self):
+        """A non-sibling state re-raises from ``drain()`` — the failure
+        crosses the pool boundary instead of deadlocking a child."""
         root = fresh_countsketch()
         imposter = CountSketch(5, 256, track=16, seed=10)  # wrong lineage
-        with MergePool(root, workers=2, mode=mode) as pool:
+        with MergePool(root, workers=2) as pool:
             pool.submit(imposter.to_state())
             with pytest.raises(ValueError, match="different configuration"):
                 pool.drain()
 
-    @pytest.mark.parametrize("mode", ("thread", "process"))
-    def test_pool_surfaces_corrupt_payload(self, mode):
+    def test_pool_surfaces_corrupt_payload(self):
         """A structurally broken state dict (e.g. a torn frame) re-raises
-        from ``drain()`` in both backends, never hangs the pool."""
+        from ``drain()``, never hangs the pool."""
         root = fresh_countsketch()
         corrupt = dict(fresh_countsketch().to_state(), payload={"torn": True})
-        with MergePool(root, workers=2, mode=mode) as pool:
+        with MergePool(root, workers=2) as pool:
             pool.submit(corrupt)
             with pytest.raises((KeyError, ValueError)):
                 pool.drain()
 
-    @pytest.mark.parametrize("mode", ("thread", "process"))
-    def test_single_worker_pool_equals_serial(self, mode):
-        """``merge_workers=1`` degenerates to serial folding — bit for
-        bit, in both backends."""
+    def test_single_worker_pool_equals_serial(self):
+        """A one-child tree folds to the serial bits."""
         sequential = drive(fresh_countsketch(), STREAM)
-        treed = self._pool_fold(self._worker_states(5), workers=1, mode=mode)
+        treed = self._pool_fold(self._worker_states(5), workers=1)
         assert dumps_state(treed.to_state()) == dumps_state(
             sequential.to_state()
         )
 
-    def test_pool_process_mode_equals_serial(self):
-        """The GIL-free backend: states decoded and pre-merged in child
-        interpreters fold to the same bits as the serial collector."""
-        sequential = drive(fresh_countsketch(), STREAM)
-        root = fresh_countsketch()
-        with MergePool(root, workers=2, mode="process") as pool:
-            for state in self._worker_states(7):
-                pool.submit(state)
-            pool.drain()
-        assert dumps_state(root.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-        assert pool.merged_frames == 7
-
     def test_pool_rejects_bad_width(self):
         with pytest.raises(ValueError, match="positive"):
             MergePool(fresh_countsketch(), workers=0)
-        with pytest.raises(ValueError, match="mode"):
-            MergePool(fresh_countsketch(), workers=2, mode="fiber")
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_two_pass_merge_workers_bit_identical(self, transport, tmp_path):
@@ -489,15 +467,13 @@ class TestMergeTree:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_two_pass_process_merge_bit_identical(self, workers, tmp_path):
-        """The acceptance gate for the GIL-free path: a process-backed
-        merge tree drives the full round protocol to the same bits as the
-        serial coordinator, at k in {2, 4}."""
+        """A 2-child merge tree drives the full round protocol to the
+        same bits as the serial coordinator, at k in {2, 4}."""
         sequential = sequential_two_pass()
         dist = fresh_estimator(passes=2)
         distributed_two_pass(
             dist, STREAM, workers=workers, transport="file", delta_every=400,
-            merge_workers=2, merge_mode="process",
-            rendezvous=str(tmp_path / "rv"),
+            merge_workers=2, rendezvous=str(tmp_path / "rv"),
         )
         assert dumps_state(dist.to_state()) == dumps_state(
             sequential.to_state()
@@ -507,7 +483,7 @@ class TestMergeTree:
         sequential = drive(fresh_countsketch(), STREAM)
         merged = distributed_ingest(
             fresh_countsketch(), STREAM, workers=4, transport="socket",
-            merge_workers=2, merge_mode="process",
+            merge_workers=2,
         )
         assert dumps_state(merged.to_state()) == dumps_state(
             sequential.to_state()
@@ -626,6 +602,19 @@ class TestRendezvousGc:
         box.collect_round(1, expected=1, timeout=10.0)
         assert list((tmp_path / "rv").glob("rmsg-001-*")) == []
 
+    def test_killed_worker_tmp_debris_swept_at_round_boundary(self, tmp_path):
+        """A worker killed mid-publish leaves a torn ``*.json.tmp`` that
+        nothing will ever rename; the round's GC sweeps it with the
+        round's frames."""
+        box = FileTransport(tmp_path / "rv", poll_interval=0.01)
+        sketch = drive(fresh_countsketch(), STREAM)
+        box.send_round(delta_message(0, 1, 0, sketch.to_state()))
+        box.send_round(round_end_message(0, 1, 1))
+        (tmp_path / "rv" / "rmsg-001-w0099-d000001.json.tmp").write_text("{")
+        box.collect_round(1, expected=1, timeout=10.0)
+        assert list((tmp_path / "rv").glob("rmsg-*")) == []
+        assert list((tmp_path / "rv").glob("*.tmp")) == []
+
     def test_stale_retransmit_after_gc_is_dropped(self, tmp_path):
         """A round-1 frame re-published after round 1 was collected (and
         GCed) is re-read in round 2 and dropped as stale, never merged."""
@@ -646,136 +635,29 @@ class TestRendezvousGc:
         assert np.array_equal(merged._table, sketch._table)
 
 
-class TestShmTransport:
-    """The zero-copy shared-memory drop-box: same bits as every other
-    transport, headers instead of inlined buffers, transparent inline
-    fallback off-host, and no leaked segments — even from killed
-    workers."""
+def _binary_frame(spec: dict, payload: bytes) -> bytes:
+    """A binary wire frame whose header is a delta carrying the one
+    buffer ``spec`` by hand, followed by ``payload`` as its buffers."""
+    head = json.dumps(delta_message(0, 1, 0, {"t": spec})).encode("utf-8")
+    return BINARY_MAGIC + LENGTH_PREFIX.pack(len(head)) + head + payload
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_one_shot_bit_identical(self, workers, tmp_path):
-        sequential = drive(fresh_countsketch(), STREAM)
-        merged = distributed_ingest(
-            fresh_countsketch(), STREAM, workers=workers, transport="shm",
-            codec="binary", rendezvous=str(tmp_path / "rv"),
-        )
-        assert dumps_state(merged.to_state()) == dumps_state(
-            sequential.to_state()
-        )
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_two_pass_bit_identical(self, workers, tmp_path):
-        """The acceptance gate: the round protocol over shared memory
-        (streaming sparse-binary deltas) equals single-machine
-        ``GSumEstimator.run()`` bit for bit at k in {2, 4}."""
-        sequential = sequential_two_pass()
-        dist = fresh_estimator(passes=2)
-        distributed_two_pass(
-            dist, STREAM, workers=workers, transport="shm",
-            codec="sparse-binary", delta_every=500,
-            rendezvous=str(tmp_path / "rv"),
-        )
-        assert dist.estimate() == sequential.estimate()
-        assert dumps_state(dist.to_state()) == dumps_state(
-            sequential.to_state()
-        )
+_SPEC = {"codec": "binary", "dtype": "<i8", "shape": [1]}
 
-    def test_segment_ships_buffers_out_of_band(self, tmp_path):
-        """With a matching beacon, a binary-codec frame leaves only a
-        small JSON header in the drop-box; the buffers cross through one
-        named segment that decodes back to the same bits and dies on
-        purge."""
-        coordinator = ShmTransport(tmp_path / "rv", poll_interval=0.01)
-        coordinator.announce()
-        worker = ShmTransport(tmp_path / "rv", poll_interval=0.01)
-        sketch = drive(fresh_countsketch(), STREAM)
-        inline_bytes = len(json.dumps(sketch.to_state(codec="binary")))
-        worker.send_round(
-            delta_message(0, 1, 0, sketch.to_state(codec="binary"))
-        )
-        assert len(worker._segment_files()) == 1
-        header = tmp_path / "rv" / "rmsg-001-w0000-d000000.json"
-        assert header.stat().st_size * 10 < inline_bytes
-        worker.send_round(round_end_message(0, 1, 1))
-        merged = fresh_countsketch()
-        RoundCoordinator(
-            merged, coordinator, workers=1, timeout=10.0
-        ).run_single_pass()
-        assert dumps_state(merged.to_state()) == dumps_state(
-            sketch.to_state()
-        )
-        coordinator.purge()
-        assert coordinator._segment_files() == []
-
-    def test_no_beacon_falls_back_inline(self, tmp_path):
-        """Without a coordinator beacon same-hostness is unproven, so
-        frames inline into the drop-box exactly like FileTransport — a
-        cross-host fleet pointed at a shared directory still works."""
-        box = ShmTransport(tmp_path / "rv", poll_interval=0.01)
-        sketch = drive(fresh_countsketch(), STREAM)
-        merged = coordinate_states(
-            fresh_countsketch(), box, [sketch.to_state(codec="binary")]
-        )
-        assert box._segment_files() == []
-        assert dumps_state(merged.to_state()) == dumps_state(
-            sketch.to_state()
-        )
-
-    def test_foreign_beacon_falls_back_inline(self, tmp_path):
-        """A beacon from a different host (token mismatch) must not be
-        trusted: buffers stay inline."""
-        box = ShmTransport(tmp_path / "rv", poll_interval=0.01)
-        box.directory.mkdir(parents=True, exist_ok=True)
-        (box.directory / ShmTransport.BEACON).write_text(
-            json.dumps({"token": "elsewhere:0000"})
-        )
-        sketch = drive(fresh_countsketch(), STREAM)
-        box.send_round(delta_message(0, 1, 0, sketch.to_state(codec="binary")))
-        assert box._segment_files() == []
-
-    def test_run_leaves_no_segments(self, tmp_path):
-        """A full two-pass shm run leaves the rendezvous dir and /dev/shm
-        clean: drivers purge their channel, round GC sweeps frames."""
-        rendezvous = tmp_path / "rv"
-        dist = fresh_estimator(passes=2)
-        distributed_two_pass(
-            dist, STREAM, workers=2, transport="shm", codec="binary",
-            delta_every=300, rendezvous=str(rendezvous),
-        )
-        assert ShmTransport(rendezvous)._segment_files() == []
-        assert list(rendezvous.glob("rmsg-*")) == []
-        assert list(rendezvous.glob("*.tmp")) == []
-
-    def test_killed_worker_debris_gced_at_round_boundary(self, tmp_path):
-        """Segments and half-written header tmp files orphaned by a
-        worker killed mid-round are swept by the coordinator's round GC
-        *by name pattern* — the dead worker never gets to clean up after
-        itself."""
-        from multiprocessing import shared_memory
-
-        from repro.distributed.transport import _untrack_segment
-
-        coordinator = ShmTransport(tmp_path / "rv", poll_interval=0.01)
-        coordinator.announce()
-        worker = ShmTransport(tmp_path / "rv", poll_interval=0.01)
-        sketch = drive(fresh_countsketch(), STREAM)
-        worker.send_round(
-            delta_message(0, 1, 0, sketch.to_state(codec="binary"))
-        )
-        assert len(worker._segment_files()) == 1
-        # A second worker killed mid-publish: its frame segment landed but
-        # the header never did, and a torn tmp file is left behind.
-        orphan_name = f"{worker.segment_prefix}-rmsg-001-w0099-d000000"
-        orphan = shared_memory.SharedMemory(
-            name=orphan_name, create=True, size=64
-        )
-        orphan.close()
-        _untrack_segment(orphan_name)
-        (tmp_path / "rv" / "rmsg-001-w0099-d000001.json.tmp").write_text("{")
-        coordinator._gc_round(1)
-        assert coordinator._segment_files() == []
-        assert list((tmp_path / "rv").glob("rmsg-*")) == []
-        assert list((tmp_path / "rv").glob("*.tmp")) == []
+#: Malformed binary frames and the ``ValueError`` message each must get.
+MALFORMED_FRAMES = {
+    "short": (BINARY_MAGIC + b"\x00", "truncated"),
+    "cut-buffer": (
+        _binary_frame(dict(_SPEC, buffer=0, nbytes=8), bytes(3)), "truncated"
+    ),
+    "skipped-index": (
+        _binary_frame(dict(_SPEC, buffer=1, nbytes=8), bytes(8)), "skip"
+    ),
+    "non-integer-nbytes": (
+        _binary_frame(dict(_SPEC, buffer=0, nbytes=None), bytes(8)),
+        "bad buffer spec",
+    ),
+}
 
 
 class TestBinaryWire:
@@ -831,6 +713,14 @@ class TestBinaryWire:
         with pytest.raises(ValueError, match="trailing bytes"):
             loads_frame(frame + b"\x00")
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_malformed_binary_frame_raises_value_error(self, case):
+        from repro.distributed.wire import loads_frame
+
+        frame, match = MALFORMED_FRAMES[case]
+        with pytest.raises(ValueError, match=match):
+            loads_frame(frame)
+
 
 class TestCandidateHooks:
     """export_candidates()/import_candidates() — the seam that lets a
@@ -875,6 +765,21 @@ class TestCandidateHooks:
 
 class TestRoundFailures:
     """The round protocol's failure paths fail fast and loudly."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_malformed_frame_fails_socket_round_fast(self, case):
+        """A worker that ships a good frame and then a malformed one
+        fails the round with ``WorkerFailure`` at once, not after the
+        round's timeout."""
+        bad = MALFORMED_FRAMES[case][0]
+        with SocketHub() as hub:
+            with socket.create_connection(hub.address) as conn:
+                send_frame(conn, delta_message(0, 1, 0, {"x": 1}))
+                conn.sendall(LENGTH_PREFIX.pack(len(bad)) + bad)
+                start = time.monotonic()
+                with pytest.raises(WorkerFailure, match="worker 0"):
+                    hub.collect_round(1, expected=1, timeout=10.0)
+        assert time.monotonic() - start < 5.0
 
     def test_worker_crash_mid_round_two(self):
         """A worker that dies after the candidate broadcast (its
@@ -1021,17 +926,15 @@ class TestRoundFailures:
         """A worker whose session dropped cannot join the round a
         broadcast opens, so the broadcast fails fast instead of leaving
         the fleet waiting on a round that can never complete."""
-        import time as _time
-
         with SocketHub() as hub:
             session = SocketSession(*hub.address)
             session.send(delta_message(0, 1, 0, fresh_countsketch().to_state()))
             session.send(round_end_message(0, 1, 1))
             hub.collect_round(1, expected=1, timeout=10.0)
             session.close()
-            deadline = _time.monotonic() + 5.0
-            while not hub._dead and _time.monotonic() < deadline:
-                _time.sleep(0.01)  # reader thread notices the close
+            deadline = time.monotonic() + 5.0
+            while not hub._dead and time.monotonic() < deadline:
+                time.sleep(0.01)  # reader thread notices the close
             with pytest.raises(WorkerFailure, match="disconnected before"):
                 hub.broadcast(round_begin_message(2, "abcd", None))
 
@@ -1134,8 +1037,7 @@ class TestBackoff:
     fixed-rate busy-wait, and every transport wait raises the one
     ``TransportTimeout``."""
 
-    def test_collect_timeout_is_transport_timeout(self):
-        assert CollectTimeout is TransportTimeout
+    def test_transport_timeout_is_timeout_error(self):
         assert issubclass(TransportTimeout, TimeoutError)
 
     def test_poll_interval_backs_off_and_caps(self, tmp_path, monkeypatch):
@@ -1302,7 +1204,7 @@ class TestTransports:
             {"format": "repro-dist", "version": 1, "type": "state",
              "worker": 1, "state": {}}
         ))
-        with pytest.raises(CollectTimeout, match=r"stragglers: workers \[1\]"):
+        with pytest.raises(TransportTimeout, match=r"stragglers: workers \[1\]"):
             box.collect_round(1, expected=2, timeout=0.05)
 
     def test_file_error_envelope_fails_fast(self, tmp_path):
@@ -1343,7 +1245,7 @@ class TestTransports:
             probe.bind(("127.0.0.1", 0))
             host, port = probe.getsockname()
         # closed without ever listening: every dial is refused
-        with pytest.raises(CollectTimeout, match="could not connect"):
+        with pytest.raises(TransportTimeout, match="could not connect"):
             SocketSession(host, port, connect_timeout=0.05, retry_interval=0.01)
 
     def test_socket_listener_timeout(self):
@@ -1355,7 +1257,7 @@ class TestTransports:
             with socket.create_connection(hub.address) as legacy:
                 send_frame(legacy, {"format": "repro-dist", "version": 1,
                                     "type": "state", "worker": 0, "state": {}})
-            with pytest.raises(CollectTimeout, match=r"stragglers: workers \[0\]"):
+            with pytest.raises(TransportTimeout, match=r"stragglers: workers \[0\]"):
                 hub.collect_round(1, expected=1, timeout=0.3)
 
 
@@ -1452,7 +1354,7 @@ class TestCli:
             ["coordinate", "--workers", "1", "--rendezvous", str(rendezvous)]
         )) == 0
         assert not list(rendezvous.glob("rmsg-*.json"))
-        with pytest.raises(CollectTimeout):
+        with pytest.raises(TransportTimeout):
             main(self._args(
                 ["coordinate", "--workers", "1", "--timeout", "0.1",
                  "--rendezvous", str(rendezvous)]
@@ -1509,18 +1411,17 @@ class TestCli:
         assert code == 0
         assert "identical to single-machine ingestion: True" in out
 
-    def test_two_pass_shm_negotiation_process_merge_cli(self, tmp_path,
-                                                        capsys):
-        """End to end through the CLI: ``--transport shm``, workers with
-        no ``--codec`` (they negotiate), a coordinator advertising
-        sparse-binary and merging through the GIL-free process tree."""
+    def test_two_pass_negotiation_process_merge_cli(self, tmp_path, capsys):
+        """End to end through the CLI: workers with no ``--codec`` (they
+        negotiate), a coordinator advertising sparse-binary and merging
+        through the process tree."""
         stream_path = tmp_path / "stream.jsonl"
         save_stream(STREAM, stream_path)
         rendezvous = str(tmp_path / "rv")
         flags = ["--sketch", "gsum", "--function", "x^2", "--n", str(N),
                  "--heaviness", "0.15", "--repetitions", "2", "--seed", "5",
                  "--passes", "2", "--delta-every", "400",
-                 "--transport", "shm", "--rendezvous", rendezvous]
+                 "--transport", "file", "--rendezvous", rendezvous]
         threads = [
             threading.Thread(target=main, args=(
                 ["worker", str(stream_path), "--worker-id", str(i),
@@ -1532,7 +1433,6 @@ class TestCli:
             t.start()
         code = main(["coordinate", "--workers", "2",
                      "--codec", "sparse-binary", "--merge-workers", "2",
-                     "--merge-mode", "process",
                      "--verify-stream", str(stream_path), *flags])
         for t in threads:
             t.join()
@@ -1540,20 +1440,15 @@ class TestCli:
         assert code == 0
         assert "identical to single-machine ingestion: True" in out
 
-    @pytest.mark.parametrize("transport", ("socket", "shm"))
-    def test_one_pass_round_trip_socket_and_shm(self, tmp_path, capsys,
-                                                transport):
-        """The 1-pass CLI fleet over the two session transports the file
+    def test_one_pass_round_trip_socket(self, tmp_path, capsys):
+        """The 1-pass CLI fleet over the socket transport, which the file
         round trip above does not reach."""
         stream_path = tmp_path / "stream.jsonl"
         save_stream(STREAM, stream_path)
-        if transport == "socket":
-            with socket.socket() as probe:  # a free port for the hub
-                probe.bind(("127.0.0.1", 0))
-                rendezvous = f"127.0.0.1:{probe.getsockname()[1]}"
-        else:
-            rendezvous = str(tmp_path / "rv")
-        flags = ["--transport", transport, "--rendezvous", rendezvous]
+        with socket.socket() as probe:  # a free port for the hub
+            probe.bind(("127.0.0.1", 0))
+            rendezvous = f"127.0.0.1:{probe.getsockname()[1]}"
+        flags = ["--transport", "socket", "--rendezvous", rendezvous]
         threads = [
             threading.Thread(target=main, args=(self._args(
                 ["worker", str(stream_path), "--worker-id", str(i),
