@@ -5,8 +5,8 @@ sharded ingestion: the same stream is driven (a) through the sharding
 engine's thread pool, (b) through ``distributed_ingest`` (a one-round
 session of the round protocol) over the file drop-box transport, and (c)
 over the TCP socket transport, with thread- and process-hosted workers.
-Supplementary tables price the two-pass round protocol, the four state
-codecs (including the hybrid ``sparse-binary``), and the coordinator's
+Supplementary tables price the two-pass round protocol, the two state
+codecs (``dense-json`` and ``sparse-binary``), and the coordinator's
 merge paths (serial folding vs the GIL-free process tree).  The states
 are asserted bit-identical to sequential ingestion at every point — the
 invariance contract survives crossing the wire — and the tables report
@@ -26,6 +26,7 @@ from repro.distributed import distributed_ingest, distributed_two_pass
 from repro.distributed.wire import delta_message, dumps_frame, dumps_message
 from repro.functions.library import moment
 from repro.sketch.base import dumps_state
+from repro.sketch.codec import CODECS
 from repro.sketch.countsketch import CountSketch
 from repro.streams.generators import zipf_stream
 from repro.streams.model import TurnstileStream, stream_from_frequencies
@@ -242,8 +243,8 @@ def test_s4_codec_payload_sizes():
     payloads (where sparse encoding is designed to win), encode + decode
     time, and end-to-end two-pass throughput, per codec.  The merged
     state is asserted bit-identical to the dense baseline at every point,
-    and the acceptance floor — sparse deltas at least 5x smaller than
-    dense for short periods — is asserted, not just reported."""
+    and the acceptance floor — sparse-binary deltas at least 5x smaller
+    than dense for short periods — is asserted, not just reported."""
     from repro.sketch.base import dumps_state, loads_state
 
     items, deltas = STREAM.as_arrays()
@@ -268,7 +269,7 @@ def test_s4_codec_payload_sizes():
     count = len(STREAM)
 
     rows = []
-    for codec in ("dense-json", "sparse", "binary", "sparse-binary"):
+    for codec in CODECS:
         start = time.perf_counter()
         delta_frame = dumps_frame(
             delta_message(0, 1, 0, period_sibling.to_state(codec=codec))
@@ -306,7 +307,7 @@ def test_s4_codec_payload_sizes():
         )
 
     dense_delta = rows[0]["delta_bytes"]
-    sparse_delta = rows[1]["delta_bytes"]
+    sparse_delta = rows[CODECS.index("sparse-binary")]["delta_bytes"]
     rows = [
         dict(row, delta_vs_dense=row["delta_bytes"] / dense_delta)
         for row in rows
@@ -316,12 +317,12 @@ def test_s4_codec_payload_sizes():
         "state-codec payload sizes and throughput (short-period deltas)",
         rows,
         claim="every codec reproduces the dense-json merge bit for bit; "
-        f"sparse short-period deltas ({short_period} updates) are "
+        f"sparse-binary short-period deltas ({short_period} updates) are "
         f"{dense_delta / sparse_delta:.1f}x smaller than dense frames "
         f"(this machine: {CPUS} CPUs)",
     )
     assert sparse_delta * 5 <= dense_delta, (
-        f"sparse delta frames must be >=5x smaller than dense for short "
+        f"sparse-binary delta frames must be >=5x smaller than dense for short "
         f"periods; got {dense_delta / sparse_delta:.1f}x "
         f"({sparse_delta} vs {dense_delta} bytes)"
     )
@@ -346,7 +347,7 @@ def test_s4_merge_tree():
         start = time.perf_counter()
         distributed_two_pass(
             dist, STREAM, workers=WORKERS, transport="file",
-            delta_every=delta_every, codec="binary",
+            delta_every=delta_every, codec="sparse-binary",
             merge_workers=merge_workers,
         )
         elapsed = time.perf_counter() - start

@@ -161,7 +161,7 @@ def _serve_scenario(live_ingest: bool) -> dict:
     stream = _workload()
     items, deltas = stream.as_arrays()
     cs = CountSketch(5, 1024, track=16, seed=1)
-    store = SnapshotStore(cs, codec="sparse-binary")
+    store = SnapshotStore(cs)
 
     half = items.shape[0] // 2
     store.update_batch(items[:half], deltas[:half])

@@ -25,13 +25,12 @@ serve      long-lived asyncio HTTP/JSON query server over a snapshot
            keeps ingesting the stream in the background while queries
            are served from epoch-consistent copy-on-write snapshots
 
-Both distributed commands take
-``--codec {dense-json,sparse,binary,sparse-binary}`` — the state codec
-frames ship under (sparse shrinks short-period streaming deltas
-dramatically; binary ships raw array buffers; sparse-binary ships only
-the nonzero cells as raw buffers).  The coordinator decodes every codec,
-so a mixed fleet still merges, and the merged result is bit-identical
-under any choice.  A worker that omits ``--codec`` *negotiates*: it
+Both distributed commands take ``--codec {dense-json,sparse-binary}`` —
+the state codec frames ship under (sparse-binary ships only the nonzero
+cells as raw buffers, which shrinks short-period streaming deltas
+dramatically).  The coordinator decodes both codecs, so a mixed fleet
+still merges, and the merged result is bit-identical under either
+choice.  A worker that omits ``--codec`` *negotiates*: it
 adopts whatever the coordinator advertises in its round-2 broadcast.
 
 The function argument accepts either a catalog name (see ``catalog``) or a
@@ -242,11 +241,9 @@ def _add_distributed_args(p: argparse.ArgumentParser, worker: bool) -> None:
     if worker:
         p.add_argument("--codec", choices=CODECS, default=None,
                        help="state codec for shipped frames: dense-json "
-                            "(compat baseline), sparse (nonzero cells "
-                            "only — small deltas), binary (raw array "
-                            "buffers), sparse-binary (nonzero cells as "
-                            "raw buffers — mid-density deltas); the "
-                            "coordinator decodes any codec, so mixed "
+                            "(compat baseline) or sparse-binary (nonzero "
+                            "cells as raw buffers — small deltas); the "
+                            "coordinator decodes either codec, so mixed "
                             "fleets merge fine.  Default: negotiate — "
                             "adopt the codec the coordinator advertises "
                             "in its round-2 broadcast (dense-json when "
@@ -442,7 +439,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             heaviness=args.heaviness, repetitions=args.repetitions, passes=1,
         )
     sketch = build_sketch(spec)
-    store = SnapshotStore(sketch, codec=args.snapshot_codec)
+    store = SnapshotStore(sketch)
     items, deltas = load_stream(args.stream).as_arrays()
 
     stop = threading.Event()
@@ -635,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refresh-interval", type=float, default=0.0,
                    help="minimum seconds between snapshot refreshes under "
                         "live ingestion (0 = refresh on every epoch advance)")
-    p.add_argument("--snapshot-codec", choices=CODECS, default="sparse-binary",
-                   help="state codec paid per copy-on-write snapshot")
     p.add_argument("--chunk", type=_positive_int, default=4096,
                    help="up-front ingestion chunk size (one epoch each)")
     p.add_argument("--live-chunk", type=int, default=0,

@@ -90,10 +90,9 @@ def distributed_ingest(
         process pool (siblings must pickle — see
         :mod:`repro.functions.registry` for estimators).
     codec:
-        State codec every worker ships under (``dense-json`` default,
-        ``sparse``, ``binary``, ``sparse-binary`` — see
-        :mod:`repro.sketch.codec`); the merged result is bit-identical
-        under any of them.
+        State codec every worker ships under (``dense-json`` default or
+        ``sparse-binary`` — see :mod:`repro.sketch.codec`); the merged
+        result is bit-identical under either.
     merge_workers:
         ``> 1`` folds the collected states through a process merge tree
         of that width (:mod:`repro.distributed.merger`) instead of

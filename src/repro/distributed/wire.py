@@ -55,23 +55,26 @@ above any realistic sketch state.
 A frame's bytes come in two shapes, distinguished by the leading byte:
 
 * **JSON frames** — the UTF-8 JSON document itself (always starts with
-  ``{``).  States under the ``dense-json`` and ``sparse`` codecs, and
-  ``binary``-codec states travelling through JSON-only channels, ride
-  this way (binary buffers base64-embedded).
+  ``{``).  Envelopes without state, ``dense-json`` states, and
+  ``sparse-binary`` states travelling through JSON-only channels ride
+  this way (nested buffers base64-embedded).
 * **Binary frames** — :data:`BINARY_MAGIC` (an invalid UTF-8 start byte,
   so the two shapes can never be confused), a 4-byte big-endian header
   length, a JSON header, then the raw little-endian array buffers
-  concatenated.  :func:`dumps_frame` lifts every ``binary``-codec array
-  out of the envelope into the buffer section (replacing its ``"b64"``
-  field with a ``"buffer"`` index), so the bytes ship unencoded — no
-  base64 expansion, no JSON float parsing on the hot merge path.
+  concatenated.  :func:`dumps_frame` lifts every ``binary`` array spec
+  nested in a ``sparse-binary`` state out of the envelope into the
+  buffer section (replacing its ``"b64"`` field with a ``"buffer"``
+  index), so the bytes ship unencoded — no base64 expansion, no JSON
+  float parsing on the hot merge path.
 
 Version-skew notes: the wire version stays 1.  The ``delta_skipped``
 type and the binary frame shape did not exist before the codec layer, so
 a coordinator predating it rejects them (unknown message type /
 undecodable frame) rather than merging wrongly; in mixed-version fleets,
-upgrade the coordinator first — workers on any codec (old or new) then
-interoperate, because decoding is self-describing per value.  Peers that
+upgrade the coordinator first.  An older worker that runs ``--codec
+sparse`` or ``--codec binary`` (codecs since deleted) fails the round:
+``from_state`` raises "unknown state codec" before decoding or merging
+anything, so it never causes a wrong merge.  Peers that
 predate the single round protocol shipped a 1-pass job as one untagged
 ``state`` envelope (a ``msg-<worker>.json`` drop-box file, or one frame
 per socket connection).  A current coordinator never merges one: it
@@ -227,8 +230,8 @@ def validate_message(message: dict) -> dict:
 
 
 def dumps_message(message: dict) -> bytes:
-    """Envelope -> canonical UTF-8 JSON bytes (no whitespace).  Binary-
-    codec states stay base64-embedded; use :func:`dumps_frame` for the
+    """Envelope -> canonical UTF-8 JSON bytes (no whitespace).  Nested
+    binary buffers stay base64-embedded; use :func:`dumps_frame` for the
     raw-buffer wire form."""
     return json.dumps(message, separators=(",", ":")).encode("utf-8")
 
@@ -283,8 +286,8 @@ def _attach_buffers(value, buffers: list):
 
 
 def dumps_frame(message: dict) -> bytes:
-    """Envelope -> wire frame bytes.  Messages without binary-codec
-    arrays serialize as plain JSON; messages carrying them become a
+    """Envelope -> wire frame bytes.  Messages without binary array
+    specs serialize as plain JSON; messages carrying them become a
     binary frame — magic, header length, JSON header, raw buffers — so
     array bytes ship without base64 expansion."""
     buffers: list = []

@@ -9,9 +9,9 @@ flowing.  The pieces:
     Wraps a live mergeable sketch.  All mutations (``update_batch``,
     round merges) run under a writer lock and advance a monotonically
     increasing **merge epoch**; :meth:`SnapshotStore.snapshot` publishes a
-    copy-on-write frozen sibling (via the codec layer —
-    ``sparse-binary`` states are ~21x smaller than dense JSON) that
-    readers query without ever taking the lock.
+    copy-on-write frozen sibling (a ``sparse-binary`` state round trip —
+    ~21x smaller than dense JSON) that readers query without ever taking
+    the lock.
 
 :class:`EpochLRUCache`
     A small LRU keyed by ``(epoch, query)``; the whole cache invalidates

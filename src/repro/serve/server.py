@@ -34,6 +34,10 @@ from repro.serve.engine import QueryEngine
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error"}
 
+#: Largest request body read (and discarded), in bytes: asyncio's own
+#: stream limit.  Every route is a GET, so no valid request comes near it.
+MAX_BODY = 1 << 16
+
 
 class SketchServer:
     """Asyncio HTTP/JSON front-end for a :class:`QueryEngine`."""
@@ -84,36 +88,51 @@ class SketchServer:
 
     # ------------------------------------------------------------ protocol
 
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bool] | None:
+        """The next request's method, target and keep-alive flag, its body
+        read and discarded; ``None`` at EOF or on a non-HTTP request line.
+        A line over the stream limit, or a ``Content-Length`` outside
+        ``[0, MAX_BODY]``, raises ``ValueError`` before any body is read."""
+        fields = (await reader.readline()).decode("latin1").split()
+        if len(fields) != 3:
+            return None
+        method, target, version = fields
+        keep_alive = version.upper() != "HTTP/1.0"
+        content_length = 0
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length":
+                if not value.isdecimal() or int(value) > MAX_BODY:
+                    raise ValueError(f"Content-Length must be in [0, {MAX_BODY}]")
+                content_length = int(value)
+            elif name == "connection":
+                keep_alive = value.lower() != "close"
+        if content_length:
+            await reader.readexactly(content_length)
+        return method, target, keep_alive
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                fields = request_line.decode("latin1").strip().split()
-                if len(fields) != 3:
-                    break
-                method, target, version = fields
-                keep_alive = version.upper() != "HTTP/1.0"
-                content_length = 0
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin1").partition(":")
-                    name = name.strip().lower()
-                    if name == "content-length":
-                        content_length = int(value.strip() or 0)
-                    elif name == "connection":
-                        keep_alive = value.strip().lower() != "close"
-                if content_length:
-                    await reader.readexactly(content_length)
-                if method != "GET":
-                    status, payload = 400, {"error": "GET only"}
+                try:
+                    request = await self._read_request(reader)
+                except ValueError as exc:  # answered, then the connection closes
+                    status, payload, keep_alive = 400, {"error": str(exc)}, False
                 else:
-                    status, payload = self._route(target)
+                    if request is None:
+                        break
+                    method, target, keep_alive = request
+                    if method != "GET":
+                        status, payload = 400, {"error": "GET only"}
+                    else:
+                        status, payload = self._route(target)
                 body = json.dumps(payload, separators=(",", ":")).encode()
                 head = (
                     f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"

@@ -45,19 +45,14 @@ class SketchSnapshot:
 class SnapshotStore:
     """Serializes writers, frees readers.
 
-    Parameters
-    ----------
-    live:
-        The sketch being ingested into (any :class:`MergeableSketch`).
-    codec:
-        State codec used for the copy-on-write round trip; the default
-        ``sparse-binary`` keeps snapshot cost proportional to the
-        *occupied* state, not the table dimensions.
+    ``live`` is the sketch being ingested into (any
+    :class:`MergeableSketch`).  Snapshots round-trip it through the
+    ``sparse-binary`` codec, which keeps their cost proportional to the
+    *occupied* state, not the table dimensions.
     """
 
-    def __init__(self, live: MergeableSketch, codec: str = "sparse-binary"):
+    def __init__(self, live: MergeableSketch):
         self._live = live
-        self._codec = str(codec)
         self._lock = threading.RLock()
         self._epoch = 0
         self._published: SketchSnapshot | None = None
@@ -121,7 +116,7 @@ class SnapshotStore:
             return published
         with self._lock:
             epoch = self._epoch
-            state = self._live.to_state(codec=self._codec)
+            state = self._live.to_state(codec="sparse-binary")
         frozen = SketchSnapshot(epoch, self._live.from_state(state))
         with self._lock:
             if self._published is None or self._published.epoch < epoch:

@@ -228,8 +228,8 @@ class MergeableSketch(ABC):
         compatibility digest so a mismatched load fails loudly.
 
         ``codec`` selects the state codec (:data:`repro.sketch.codec.CODECS`:
-        ``dense-json`` — the default and compat baseline — ``sparse``, or
-        ``binary``); ``None`` inherits the active codec, so composite
+        ``dense-json`` — the default and compat baseline — or
+        ``sparse-binary``); ``None`` inherits the active codec, so composite
         sketches serialize their sub-sketches under the outer selection.
         The choice is recorded in the state's ``"codec"`` field, but every
         encoded value is also self-describing, so :meth:`from_state` never
@@ -250,7 +250,8 @@ class MergeableSketch(ABC):
         """A new sibling loaded with ``state`` (produced by a sibling's
         :meth:`to_state`, under any codec); ``self`` is left untouched.
         States written before the codec layer carry no ``"codec"`` tag and
-        decode as ``dense-json``."""
+        decode as ``dense-json``; a tag outside ``CODECS`` raises
+        ``ValueError`` before anything is decoded."""
         if state.get("format") != STATE_FORMAT:
             raise ValueError("not a repro sketch state")
         if state.get("version") != STATE_VERSION:

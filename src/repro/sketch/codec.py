@@ -4,43 +4,36 @@ Every sketch state is, at bottom, a handful of numpy arrays and integer
 maps.  ``to_state()`` historically shipped them one way — dense JSON
 lists — which is exact and portable but pays for every zero cell in a
 mostly-empty table.  This module makes the encoding a negotiated choice.
-Four codecs:
+Two codecs:
 
 ``dense-json``
     The original format and the compatibility baseline: arrays as nested
     ``tolist()`` JSON (``{"__ndarray__": [...], "dtype", "shape"}``),
-    integer maps as sorted ``[key, value]`` pairs.  Stays the default;
-    states written before the codec layer existed decode as this.
-``sparse``
-    Ship only the nonzero cells of each array, as ``(flat_index, value)``
-    pairs held in two parallel lists.  Streaming delta frames from short
-    periods touch a few dozen cells of multi-thousand-cell tables, so
-    sparse frames shrink dramatically (see ``S4_CODEC`` in
-    ``benchmarks/bench_s4_distributed.py``).
-``binary``
-    Raw little-endian ndarray buffers.  Inside a JSON document they ride
-    base64-embedded (``"b64"``); across the socket and file transports
-    the wire layer (:mod:`repro.distributed.wire`) lifts them out into a
-    raw binary frame so the bytes ship unencoded.  Integer maps become a
-    pair of int64 key/value buffers.
+    integer maps as sorted ``[key, value]`` pairs.  Stays the default and
+    the readable form; states written before the codec layer existed
+    decode as this.
 ``sparse-binary``
-    The hybrid: only the nonzero cells, like ``sparse``, but the flat
-    indices and values ship as raw little-endian buffers, like
-    ``binary`` — two nested binary array specs instead of two JSON
-    lists.  Mid-density deltas (too dense for JSON cell lists to parse
-    cheaply, too sparse for dense buffers to pay off) get both wins:
-    no zero cells on the wire *and* no per-cell JSON decode.  The
-    nested specs are ordinary ``binary`` specs, so the wire layer's
-    buffer lifting applies to them unchanged.
+    The compact wire codec: only the nonzero cells of each array, as a
+    flat-index buffer and a value buffer.  Both are nested ``binary``
+    array specs — raw little-endian ndarray buffers, base64-embedded
+    (``"b64"``) inside a JSON document.  Across the socket and file
+    transports the wire layer (:mod:`repro.distributed.wire`) lifts them
+    out into a raw binary frame, so the bytes ship unencoded.  Integer
+    maps become a pair of int64 key/value buffers.  Short-period
+    streaming deltas touch a few dozen cells of multi-thousand-cell
+    tables, so these frames shrink dramatically (see ``S4_CODEC`` in
+    ``benchmarks/bench_s4_distributed.py``).
 
 Decoding never needs to be told the codec: every encoded value is
 self-describing (dispatch on its ``"codec"`` tag, with the untagged
 ``"__ndarray__"`` form meaning dense-json), so a coordinator can merge
-frames from workers running different codecs.  All three codecs are
-*exact* — float64 survives JSON via shortest-repr round-tripping, sparse
-reinstates explicit zeros, binary and sparse-binary ship the very
-bytes — which is what keeps the distributed equality gates bit-for-bit
-under any codec mix.
+frames from workers running different codecs.  Both codecs are *exact* —
+float64 survives JSON via shortest-repr round-tripping, sparse-binary
+ships the very bytes and reinstates explicit zeros — which is what keeps
+the distributed equality gates bit-for-bit under any codec mix.  The
+sparse decoders reject index and key buffers that are not strictly
+increasing and in range, so a corrupt payload raises ``ValueError``
+instead of silently wrapping, overwriting or dropping cells.
 
 Codec selection threads through nested ``_state_payload()`` calls via a
 context variable: ``to_state(codec=...)`` activates the codec, and every
@@ -58,7 +51,7 @@ import numpy as np
 
 #: The negotiated codec names, in compatibility order: ``dense-json`` is
 #: the historical wire format and stays the default.
-CODECS = ("dense-json", "sparse", "binary", "sparse-binary")
+CODECS = ("dense-json", "sparse-binary")
 DEFAULT_CODEC = "dense-json"
 
 _ACTIVE: ContextVar[str | None] = ContextVar("repro-state-codec", default=None)
@@ -103,10 +96,9 @@ def _le_dtype(dtype: np.dtype) -> np.dtype:
 
 
 def _binary_spec(arr: np.ndarray) -> dict:
-    """A ``binary``-tagged array spec for ``arr`` regardless of the
-    active codec — the building block the binary codec uses directly and
-    the sparse-binary codec nests (so wire-layer buffer lifting treats
-    hybrid payloads exactly like plain binary ones)."""
+    """A ``binary``-tagged array spec for ``arr``: the raw-buffer building
+    block the sparse-binary codec nests (so wire-layer buffer lifting
+    finds every buffer by its tag)."""
     packed = np.ascontiguousarray(arr).astype(_le_dtype(arr.dtype), copy=False)
     return {
         "codec": "binary",
@@ -117,24 +109,10 @@ def _binary_spec(arr: np.ndarray) -> dict:
 
 
 def encode_array(arr: np.ndarray) -> dict:
-    """Encode a numpy array under the active codec.  All four forms are
-    exact: dense/sparse float64 values round-trip through JSON's
-    shortest-repr serialization, binary and sparse-binary ship the raw
-    buffers."""
-    codec = active_codec()
-    if codec == "sparse":
-        flat = np.ascontiguousarray(arr).reshape(-1)
-        indices = np.flatnonzero(flat)
-        return {
-            "codec": "sparse",
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "indices": indices.tolist(),
-            "values": flat[indices].tolist(),
-        }
-    if codec == "binary":
-        return _binary_spec(arr)
-    if codec == "sparse-binary":
+    """Encode a numpy array under the active codec.  Both forms are
+    exact: dense float64 values round-trip through JSON's shortest-repr
+    serialization, sparse-binary ships the raw buffers."""
+    if active_codec() == "sparse-binary":
         flat = np.ascontiguousarray(arr).reshape(-1)
         indices = np.flatnonzero(flat)
         return {
@@ -162,33 +140,60 @@ def binary_payload_bytes(spec: dict) -> bytes:
     return base64.b64decode(spec["b64"])
 
 
+def _numeric_dtype(name) -> np.dtype:
+    """The dtype a binary or sparse spec names: bool, int, uint or float
+    only, so a crafted spec cannot smuggle in object arrays."""
+    try:
+        dtype = np.dtype(name)
+    except TypeError as exc:
+        raise ValueError(f"unknown array dtype {name!r}") from exc
+    if dtype.kind not in "biuf":
+        raise ValueError(f"array dtype {dtype.str!r} is not numeric")
+    return dtype
+
+
+def _index_pairs(spec: dict, index: str, size: int | None = None) -> tuple:
+    """A sparse spec's decoded ``index`` buffer (flat indices or map keys)
+    and its ``"values"`` buffer.  The encoders emit only 1-D integer
+    indices, strictly increasing and (given ``size``) within ``[0, size)``,
+    with one value each; anything else would wrap, overwrite or drop
+    cells, so it raises ``ValueError``."""
+    what = f"{spec.get('codec')} {index}"
+    indices, values = decode_array(spec[index]), decode_array(spec["values"])
+    if indices.ndim != 1 or indices.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be a 1-D integer array")
+    if np.any(indices[1:] <= indices[:-1]):
+        raise ValueError(f"{what} must be strictly increasing")
+    if size is not None and indices.size and (indices[0] < 0 or indices[-1] >= size):
+        raise ValueError(f"{what} must lie in [0, {size})")
+    if values.shape != indices.shape:
+        raise ValueError(f"{what}: {values.size} values for {indices.size} entries")
+    return indices, values
+
+
+def _sparse_cells(spec: dict, size: int, dtype) -> np.ndarray:
+    """The ``size`` flat cells a sparse spec sets; every other is zero."""
+    indices, values = _index_pairs(spec, "indices", size)
+    flat = np.zeros(size, dtype=_numeric_dtype(dtype))
+    flat[indices] = values.astype(flat.dtype, copy=False)
+    return flat
+
+
 def decode_array(spec: dict) -> np.ndarray:
     """Decode any codec's array spec (self-describing dispatch)."""
     codec = spec.get("codec")
     shape = tuple(spec["shape"])
-    dtype = np.dtype(spec["dtype"])
-    if codec == "sparse":
-        flat = np.zeros(int(np.prod(shape)) if shape else 1, dtype=dtype)
-        indices = np.asarray(spec["indices"], dtype=np.int64)
-        if indices.size:
-            flat[indices] = np.asarray(spec["values"], dtype=dtype)
-        return flat.reshape(shape)
     if codec == "binary":
+        dtype = _numeric_dtype(spec["dtype"])
         arr = np.frombuffer(binary_payload_bytes(spec), dtype=dtype).reshape(shape)
         # frombuffer views are read-only; states must stay mutable (they
         # are merged into) and native-endian.
         return arr.astype(dtype.newbyteorder("="), copy=True)
     if codec == "sparse-binary":
-        flat = np.zeros(int(np.prod(shape)) if shape else 1, dtype=dtype)
-        indices = decode_array(spec["indices"])
-        if indices.size:
-            flat[indices] = decode_array(spec["values"]).astype(
-                dtype, copy=False
-            )
-        return flat.reshape(shape)
+        return _sparse_cells(spec, int(np.prod(shape)), spec["dtype"]).reshape(shape)
     if codec is not None:
         raise ValueError(f"unknown array codec {codec!r}")
-    arr = np.asarray(spec["__ndarray__"], dtype=dtype)
+    arr = np.asarray(spec["__ndarray__"], dtype=np.dtype(spec["dtype"]))
     return arr.reshape(shape)
 
 
@@ -205,14 +210,12 @@ def _int64_pack(values: Iterable[int]) -> np.ndarray | None:
 
 
 def encode_int_map(mapping: Dict[int, Any]) -> "list | dict":
-    """A dict with integer keys, under the active codec.  The dense and
-    sparse codecs use the canonical sorted ``[key, value]`` pair list
-    (maps are already sparse by construction); the binary and
-    sparse-binary codecs pack keys and values into int64 buffers when
-    they fit (a map is sparse already, so the hybrid gains nothing over
-    plain buffers here)."""
+    """A dict with integer keys, under the active codec.  The dense codec
+    uses the canonical sorted ``[key, value]`` pair list; sparse-binary
+    packs keys and values into int64 buffers when they fit (a map is
+    sparse already, so plain buffers need no index layer)."""
     keys = sorted(mapping)
-    if active_codec() in ("binary", "sparse-binary"):
+    if active_codec() == "sparse-binary":
         packed_keys = _int64_pack(keys)
         packed_values = _int64_pack(
             int(mapping[k]) for k in keys
@@ -230,8 +233,7 @@ def decode_int_map(encoded: "Iterable | dict") -> Dict[int, Any]:
     if isinstance(encoded, dict):
         if encoded.get("codec") != "binary-map":
             raise ValueError(f"unknown int-map codec {encoded.get('codec')!r}")
-        keys = decode_array(encoded["keys"])
-        values = decode_array(encoded["values"])
+        keys, values = _index_pairs(encoded, "keys")
         return {int(k): int(v) for k, v in zip(keys.tolist(), values.tolist())}
     return {int(k): v for k, v in encoded}
 
@@ -240,56 +242,27 @@ def decode_int_map(encoded: "Iterable | dict") -> Dict[int, Any]:
 
 def encode_int_list(values: "List[int] | Iterable[int]") -> "list | dict":
     """A fixed-length list of integer counters, under the active codec:
-    dense ships the plain list, sparse ships only the nonzero positions,
-    binary packs an int64 buffer, sparse-binary packs only the nonzero
+    dense ships the plain list, sparse-binary packs only the nonzero
     positions into index/value int64 buffers.  Values outside int64
     (arbitrary-precision Python ints) fall back to the plain list under
-    every codec, so exactness never depends on the counter magnitude."""
+    both codecs, so exactness never depends on the counter magnitude."""
     out = [int(v) for v in values]
-    codec = active_codec()
-    if codec == "sparse":
-        if _int64_pack(out) is None:
-            return out
+    if active_codec() == "sparse-binary" and _int64_pack(out) is not None:
+        indices = [i for i, v in enumerate(out) if v != 0]
         return {
-            "codec": "sparse-list",
+            "codec": "sparse-binary-list",
             "length": len(out),
-            "indices": [i for i, v in enumerate(out) if v != 0],
-            "values": [v for v in out if v != 0],
+            "indices": _binary_spec(np.asarray(indices, dtype=np.int64)),
+            "values": _binary_spec(
+                np.asarray([out[i] for i in indices], dtype=np.int64)
+            ),
         }
-    if codec == "binary":
-        packed = _int64_pack(out)
-        if packed is not None:
-            return {"codec": "binary-list", "array": encode_array(packed)}
-    if codec == "sparse-binary":
-        if _int64_pack(out) is not None:
-            indices = [i for i, v in enumerate(out) if v != 0]
-            return {
-                "codec": "sparse-binary-list",
-                "length": len(out),
-                "indices": _binary_spec(np.asarray(indices, dtype=np.int64)),
-                "values": _binary_spec(
-                    np.asarray([out[i] for i in indices], dtype=np.int64)
-                ),
-            }
     return out
 
 
 def decode_int_list(encoded: "list | dict") -> List[int]:
     if isinstance(encoded, dict):
-        codec = encoded.get("codec")
-        if codec == "sparse-list":
-            out = [0] * int(encoded["length"])
-            for i, v in zip(encoded["indices"], encoded["values"]):
-                out[int(i)] = int(v)
-            return out
-        if codec == "binary-list":
-            return [int(v) for v in decode_array(encoded["array"]).tolist()]
-        if codec == "sparse-binary-list":
-            out = [0] * int(encoded["length"])
-            indices = decode_array(encoded["indices"]).tolist()
-            values = decode_array(encoded["values"]).tolist()
-            for i, v in zip(indices, values):
-                out[int(i)] = int(v)
-            return out
-        raise ValueError(f"unknown int-list codec {codec!r}")
+        if encoded.get("codec") != "sparse-binary-list":
+            raise ValueError(f"unknown int-list codec {encoded.get('codec')!r}")
+        return _sparse_cells(encoded, int(encoded["length"]), np.int64).tolist()
     return [int(v) for v in encoded]

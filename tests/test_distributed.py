@@ -54,6 +54,7 @@ from repro.distributed.specs import build_sketch
 from repro.distributed.wire import BINARY_MAGIC, LENGTH_PREFIX
 from repro.functions.library import moment
 from repro.sketch.base import dumps_state
+from repro.sketch.codec import CODECS
 from repro.sketch.countsketch import CountSketch
 from repro.streams.batching import drive
 from repro.streams.generators import zipf_stream
@@ -225,11 +226,11 @@ class TestRoundProtocol:
         )
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("codec", ("sparse", "binary", "sparse-binary"))
+    @pytest.mark.parametrize("codec", ("sparse-binary",))
     def test_two_pass_codec_bit_identical(self, transport, codec, tmp_path):
         """The codec equality gate: the coordinated two-pass protocol
-        under the sparse and binary state codecs — with streaming deltas,
-        so short-period frames actually exercise the sparse win — equals
+        under the sparse-binary state codec — with streaming deltas, so
+        short-period frames actually exercise the sparse win — equals
         single-machine ``GSumEstimator.run()`` bit for bit at k=2."""
         sequential = sequential_two_pass()
         rendezvous = str(tmp_path / "rv") if transport == "file" else None
@@ -243,7 +244,7 @@ class TestRoundProtocol:
             sequential.to_state()
         )
 
-    @pytest.mark.parametrize("codec", ("sparse", "binary", "sparse-binary"))
+    @pytest.mark.parametrize("codec", ("sparse-binary",))
     def test_one_shot_codec_bit_identical(self, codec):
         sequential = drive(fresh_countsketch(), STREAM)
         merged = distributed_ingest(
@@ -260,7 +261,7 @@ class TestRoundProtocol:
         still merges bit-for-bit."""
         sequential = drive(fresh_countsketch(), STREAM)
         items, deltas = STREAM.as_arrays()
-        codecs = ("dense-json", "sparse", "binary", "sparse-binary")
+        codecs = CODECS * 2
         for worker_id, codec in enumerate(codecs):
             part = worker_slice(items, deltas, worker_id, len(codecs))
             run_worker_rounds(
@@ -313,7 +314,7 @@ class TestRoundProtocol:
                 return self.begin
 
         for explicit, expected in ((None, "sparse-binary"),
-                                   ("sparse", "sparse")):
+                                   ("dense-json", "dense-json")):
             sibling = fresh_estimator(passes=2)
             begin = round_begin_message(
                 2, sibling.compat_digest(), candidates, codec="sparse-binary"
@@ -329,7 +330,7 @@ class TestRoundProtocol:
             assert frames, "round 2 shipped no delta frames"
             payload = json.dumps([f["state"] for f in frames])
             assert f'"{expected}"' in payload
-            if expected == "sparse":
+            if expected == "dense-json":
                 assert '"sparse-binary"' not in payload
 
     def test_round_summaries_recorded(self, tmp_path):
@@ -661,13 +662,13 @@ MALFORMED_FRAMES = {
 
 
 class TestBinaryWire:
-    """Binary-codec states ship as raw-buffer binary frames — no base64
+    """Sparse-binary states ship as raw-buffer binary frames — no base64
     on the socket, decode straight from the buffer — and both frame
     shapes coexist on every channel."""
 
     def test_binary_frame_socket_round_trip(self):
         original = drive(fresh_countsketch(), STREAM)
-        message = delta_message(0, 1, 0, original.to_state(codec="binary"))
+        message = delta_message(0, 1, 0, original.to_state(codec="sparse-binary"))
         a, b = socket.socketpair()
         try:
             send_frame(a, message)
@@ -681,7 +682,7 @@ class TestBinaryWire:
     def test_binary_frame_smaller_than_base64_json(self):
         from repro.distributed.wire import dumps_frame, dumps_message
 
-        state = drive(fresh_countsketch(), STREAM).to_state(codec="binary")
+        state = drive(fresh_countsketch(), STREAM).to_state(codec="sparse-binary")
         message = delta_message(0, 1, 0, state)
         assert len(dumps_frame(message)) < len(dumps_message(message))
 
@@ -690,7 +691,7 @@ class TestBinaryWire:
         merged = coordinate_states(
             fresh_countsketch(),
             FileTransport(tmp_path / "rv", poll_interval=0.01),
-            [original.to_state(codec="binary")],
+            [original.to_state(codec="sparse-binary")],
         )
         assert dumps_state(merged.to_state()) == dumps_state(
             original.to_state()
@@ -699,16 +700,15 @@ class TestBinaryWire:
     def test_json_frames_unchanged_for_other_codecs(self):
         from repro.distributed.wire import dumps_frame, dumps_message
 
-        for codec in ("dense-json", "sparse"):
-            message = delta_message(
-                0, 1, 0, drive(fresh_countsketch(), STREAM).to_state(codec=codec)
-            )
-            assert dumps_frame(message) == dumps_message(message)
+        message = delta_message(
+            0, 1, 0, drive(fresh_countsketch(), STREAM).to_state(codec="dense-json")
+        )
+        assert dumps_frame(message) == dumps_message(message)
 
     def test_truncated_binary_frame_rejected(self):
         from repro.distributed.wire import dumps_frame, loads_frame
 
-        state = drive(fresh_countsketch(), STREAM).to_state(codec="binary")
+        state = drive(fresh_countsketch(), STREAM).to_state(codec="sparse-binary")
         frame = dumps_frame(delta_message(0, 1, 0, state))
         with pytest.raises(ValueError, match="trailing bytes"):
             loads_frame(frame + b"\x00")
@@ -1171,8 +1171,8 @@ class TestWire:
     def test_round_begin_codec_advertisement(self):
         from repro.distributed.wire import validate_message
 
-        begin = round_begin_message(2, "abcd", {"reps": []}, codec="binary")
-        assert validate_message(begin)["codec"] == "binary"
+        begin = round_begin_message(2, "abcd", {"reps": []}, codec="sparse-binary")
+        assert validate_message(begin)["codec"] == "sparse-binary"
         assert "codec" not in round_begin_message(2, "abcd", {"reps": []})
         with pytest.raises(ValueError, match="codec"):
             validate_message(dict(begin, codec=7))
@@ -1360,7 +1360,7 @@ class TestCli:
                  "--rendezvous", str(rendezvous)]
             ))
 
-    @pytest.mark.parametrize("codec", ("sparse", "binary", "sparse-binary"))
+    @pytest.mark.parametrize("codec", ("sparse-binary",))
     def test_codec_flag_round_trip(self, tmp_path, capsys, codec):
         """``repro worker --codec`` frames merge on a ``repro coordinate
         --merge-workers`` coordinator to the single-machine bits."""
@@ -1385,15 +1385,15 @@ class TestCli:
         assert "identical to single-machine ingestion: True" in out
 
     def test_two_pass_codec_and_merge_tree_cli(self, tmp_path, capsys):
-        """The round protocol under ``--codec sparse --delta-every`` with
-        a merge-tree coordinator, end to end through the CLI."""
+        """The round protocol under ``--codec sparse-binary --delta-every``
+        with a merge-tree coordinator, end to end through the CLI."""
         stream_path = tmp_path / "stream.jsonl"
         save_stream(STREAM, stream_path)
         rendezvous = str(tmp_path / "rv")
         flags = ["--sketch", "gsum", "--function", "x^2", "--n", str(N),
                  "--heaviness", "0.15", "--repetitions", "2", "--seed", "5",
-                 "--passes", "2", "--delta-every", "400", "--codec", "sparse",
-                 "--rendezvous", rendezvous]
+                 "--passes", "2", "--delta-every", "400",
+                 "--codec", "sparse-binary", "--rendezvous", rendezvous]
         threads = [
             threading.Thread(target=main, args=(
                 ["worker", str(stream_path), "--worker-id", str(i),
@@ -1452,7 +1452,7 @@ class TestCli:
         threads = [
             threading.Thread(target=main, args=(self._args(
                 ["worker", str(stream_path), "--worker-id", str(i),
-                 "--workers", "2", "--codec", "binary", *flags]
+                 "--workers", "2", "--codec", "sparse-binary", *flags]
             ),))
             for i in range(2)
         ]

@@ -9,7 +9,7 @@ Four properties, enforced bit-for-bit:
 * **State round-trip** — ``from_state(to_state())`` reconstructs an equal
   sketch, including through an actual JSON wire encoding.
 * **Codec invariance** — every implementer round-trips through every
-  state codec (dense-json, sparse, binary), and states encoded under
+  state codec (dense-json, sparse-binary), and states encoded under
   *different* codecs cross-decode and merge to the same bits (the
   contract behind mixed-codec distributed fleets).
 * **Sibling discipline** — ``spawn_sibling`` yields an empty,
@@ -35,6 +35,7 @@ from repro.core.universal import TwoPassUniversalSketch, UniversalGSumSketch
 from repro.functions.library import moment
 from repro.sketch.ams import AmsF2Sketch
 from repro.sketch.base import dumps_state, loads_state
+from repro.sketch.codec import CODECS
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.exact import ExactCounter
@@ -158,9 +159,6 @@ class TestShardInvariance:
         sharded = sharded_copy(build, STREAM, shards)
         assert sharded.to_state() == sequential.to_state()
         assert observe(sharded) == observe(sequential)
-
-
-CODECS = ("dense-json", "sparse", "binary")
 
 
 @pytest.mark.parametrize("codec", CODECS)

@@ -1,7 +1,7 @@
 """Property-based tests for merge/codec round-trip equivalence.
 
 Hypothesis drives arbitrary interleavings of ``update_batch``, ``merge``,
-and ``to_state -> from_state`` (under every one of the four codecs) across
+and ``to_state -> from_state`` (under either state codec) across
 a small fleet of sibling shards, then folds the fleet into one sketch.
 The invariant: whatever the interleaving, the folded sketch is
 bit-identical — table, candidate pool, ranking — to a single sketch fed

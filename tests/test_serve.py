@@ -8,6 +8,8 @@ concurrently.  A reader may observe a stale epoch (bounded by the refresh
 policy) but never a torn one.
 """
 
+import logging
+import socket
 import threading
 import time
 
@@ -77,7 +79,7 @@ class TestSnapshotStore:
         assert store.current() is first
 
     def test_snapshot_equals_direct_state_roundtrip(self):
-        store = SnapshotStore(CountSketch(3, 64, seed=1), codec="sparse-binary")
+        store = SnapshotStore(CountSketch(3, 64, seed=1))
         items, deltas = _stream().as_arrays()
         store.update_batch(items, deltas)
         snap = store.snapshot()
@@ -296,7 +298,7 @@ class TestQueryUnderIngestion:
         """Any interleaving of updates, snapshots, and queries over an
         exact counter agrees with a plain dict model — and snapshots keep
         answering with the counts of the epoch they were taken at."""
-        store = SnapshotStore(ExactCounter(N), codec="dense-json")
+        store = SnapshotStore(ExactCounter(N))
         engine = QueryEngine(store)
         model: dict[int, int] = {}
         frozen: list[tuple[object, dict[int, int]]] = []
@@ -316,6 +318,29 @@ class TestQueryUnderIngestion:
 
 
 # -------------------------------------------------------------- HTTP server
+
+#: Malformed requests the server must answer with 400 and a closed
+#: connection, without reading a body.
+MALFORMED_REQUESTS = {
+    "non-integer-length": b"GET /health HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    "negative-length": b"GET /health HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    "huge-length": b"GET /health HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+    "long-request-line": b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+}
+
+
+def _raw_exchange(host: str, port: int, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection and return every byte the
+    server answers until it closes; a read that waits 2 s fails."""
+    response = b""
+    with socket.create_connection((host, port), timeout=2.0) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(1 << 16):
+                response += chunk
+        except ConnectionResetError:  # the server may close with input unread
+            pass
+    return response
 
 
 class TestSketchServer:
@@ -359,6 +384,17 @@ class TestSketchServer:
             fetch_json(host, port, "/frequency?items=notanint")
         with pytest.raises(RuntimeError, match="-> 400"):
             fetch_json(host, port, "/frequency")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REQUESTS))
+    def test_malformed_request_gets_400_and_close(self, served, case, caplog):
+        _, _, server = served
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        response = _raw_exchange(server.host, server.port, MALFORMED_REQUESTS[case])
+        head = response.partition(b"\r\n\r\n")[0]
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert fetch_json(server.host, server.port, "/health")["status"] == "ok"
+        assert not caplog.records
 
     def test_load_harness_under_live_ingestion(self, served):
         store, engine, server = served
