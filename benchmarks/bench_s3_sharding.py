@@ -2,11 +2,14 @@
 
 Feeds one large unit-update turnstile stream (10^6 updates full mode,
 2*10^4 in smoke mode) into each linear sketch through the sharded engine
-at every (shards, chunk) grid point and reports sustained updates/second,
-the speedup over 1 shard, and — the non-negotiable column — whether the
-sharded state is bit-identical to sequential ingestion (the
-mergeable-sketch invariance contract; the bench fails hard on any
-mismatch).
+(its thread pool, the only execution mode) at every (shards, chunk) grid
+point and reports sustained updates/second, the speedup over 1 shard,
+and — the non-negotiable column — whether the sharded state is
+bit-identical to sequential ingestion (the mergeable-sketch invariance
+contract; the bench fails hard on any mismatch).  ``S3_GSUM`` and
+``S3_CROSSOVER`` hold ``GSumEstimator(..., shards=N)`` to the same
+equality.  Sharding across processes is the distributed driver's job
+(``S4`` in ``bench_s4_distributed.py``).
 
 Wall-clock speedup expectations are hardware-dependent: threads only help
 when the numpy kernels (which release the GIL) have cores to spill onto.
@@ -18,8 +21,6 @@ Set ``REPRO_BENCH_SMOKE=1`` for the reduced-size CI version.
 
 import os
 import time
-
-import numpy as np
 
 from repro.core.gsum import GSumEstimator
 from repro.functions.library import moment
@@ -66,7 +67,7 @@ def _timed_ingest(factory, shards, chunk):
         for items, deltas in STREAM.iter_array_chunks(chunk):
             sketch.update_batch(items, deltas)
     else:
-        ingest_sharded(sketch, STREAM, shards, chunk, mode="thread")
+        ingest_sharded(sketch, STREAM, shards, chunk)
     return sketch, time.perf_counter() - start
 
 
@@ -219,28 +220,3 @@ def test_s3_gsum_shard_crossover(benchmark):
         "the overhead shrinks relative to ingestion as streams grow, and "
         f"wall-clock wins need real cores (this machine: {CPUS})",
     )
-
-
-def test_s3_process_mode_round_trip():
-    """Process-pool mode ships sibling states across process boundaries via
-    to_state()/from_state(); the result must stay bit-identical."""
-    small = stream_from_frequencies(
-        dict(
-            zipf_stream(n=2048, total_mass=10_000, skew=1.2, seed=5)
-            .frequency_vector()
-            .items()
-        ),
-        2048,
-        chunk=1,
-    )
-    sequential = CountSketch(5, 1024, track=32, seed=1)
-    for items, deltas in small.iter_array_chunks(DEFAULT_CHUNK):
-        sequential.update_batch(items, deltas)
-
-    def run():
-        sketch = CountSketch(5, 1024, track=32, seed=1)
-        return ingest_sharded(sketch, small, 2, mode="process")
-
-    sharded = run()
-    assert np.array_equal(sharded._table, sequential._table)
-    assert sharded.top_candidates() == sequential.top_candidates()

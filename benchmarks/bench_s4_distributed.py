@@ -72,7 +72,7 @@ def test_s4_distributed_vs_sharded(benchmark):
 
         deployments = [
             ("sharded/thread", lambda f=factory: ingest_sharded(
-                f(), STREAM, WORKERS, mode="thread")),
+                f(), STREAM, WORKERS)),
             ("dist/file/thread", lambda f=factory: distributed_ingest(
                 f(), STREAM, workers=WORKERS, transport="file")),
             ("dist/socket/thread", lambda f=factory: distributed_ingest(

@@ -71,7 +71,7 @@ def _positive_int(text: str) -> int:
 
 def _resolve_function(spec: str) -> GFunction:
     """Catalog name or restricted ``x``-expression, via the named-function
-    registry (so the resolved function also serializes and process-shards)."""
+    registry (so the resolved function also serializes across processes)."""
     try:
         return resolve_function(spec)
     except ValueError as exc:  # pragma: no cover - error path formatting
@@ -102,7 +102,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     estimator = GSumEstimator(
         g, stream.domain_size, epsilon=args.epsilon, passes=args.passes,
         heaviness=args.heaviness, repetitions=args.repetitions,
-        seed=args.seed, shards=args.shards, shard_mode=args.shard_mode,
+        seed=args.seed, shards=args.shards,
     )
     result = estimator.run(stream, chunk_size=args.chunk)
     print(f"g-SUM estimate for {g.name} over {args.stream}")
@@ -168,13 +168,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.shards > 1:
         sharded = CountSketch(args.rows, args.buckets, seed=args.seed)
         start = time.perf_counter()
-        ingest_sharded(
-            sharded, stream, args.shards, args.chunk, mode=args.shard_mode
-        )
+        ingest_sharded(sharded, stream, args.shards, args.chunk)
         shard_s = time.perf_counter() - start
         identical = np.array_equal(sharded._table, batched._table)
         print(f"  sharded: {shard_s:.4f}s  ({count / shard_s:,.0f} updates/s, "
-              f"shards={args.shards}, mode={args.shard_mode})")
+              f"shards={args.shards})")
         print(f"  sharded speedup over batch: {batch_s / shard_s:.1f}x")
         print(f"  sharded state identical to sequential: {identical}")
         if not identical:
@@ -525,8 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_positive_int, default=1,
                    help="parallel ingestion shards (results are "
                         "bit-identical to --shards 1)")
-    p.add_argument("--shard-mode", choices=("thread", "process", "serial"),
-                   default="thread")
     p.add_argument("--codec", choices=CODECS, default="dense-json",
                    help="state codec for the reported serialized size")
     p.set_defaults(fn=_cmd_estimate)
@@ -552,8 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_positive_int, default=1,
                    help="also time sharded parallel ingestion with this "
                         "many shards (state verified identical)")
-    p.add_argument("--shard-mode", choices=("thread", "process", "serial"),
-                   default="thread")
     p.add_argument("--codec", choices=CODECS, default="dense-json",
                    help="state codec for the reported serialized size")
     p.set_defaults(fn=_cmd_ingest)

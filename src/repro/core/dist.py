@@ -248,10 +248,7 @@ class DistDetector(MergeableSketch):
         return {"counters": encode_array(self._counters)}
 
     def _load_state_payload(self, payload: dict) -> None:
-        counters = decode_array(payload["counters"])
-        if counters.shape != self._counters.shape:
-            raise ValueError("state counter shape mismatch")
-        self._counters = counters
+        self._counters = decode_array(payload["counters"], self._counters.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

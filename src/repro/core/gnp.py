@@ -153,10 +153,8 @@ class _Substream:
         }
 
     def load_state_payload(self, payload: dict) -> None:
-        trial_counters = decode_int_list(payload["trial_counters"])
-        bit_counters = decode_int_list(payload["bit_counters"])
-        if len(trial_counters) != self.trials or len(bit_counters) != self.n_bits:
-            raise ValueError("substream state shape mismatch")
+        trial_counters = decode_int_list(payload["trial_counters"], self.trials)
+        bit_counters = decode_int_list(payload["bit_counters"], self.n_bits)
         self.trial_counters = trial_counters
         self.bit_counters = bit_counters
         self.total = int(payload["total"])

@@ -91,14 +91,8 @@ class GSumEstimator(MergeableSketch):
         Parallel ingestion shards for :meth:`process` /
         :meth:`process_second_pass` / :meth:`run`.  ``shards > 1`` splits
         each stream into contiguous slabs fed to sibling estimators on a
-        worker pool and merges their states — estimates are bit-identical
+        thread pool and merges their states — estimates are bit-identical
         to sequential ingestion (see :mod:`repro.streams.sharding`).
-    shard_mode:
-        ``"thread"`` (default), ``"process"``, or ``"serial"``.  Process
-        mode ships pickled siblings to a process pool, so it needs ``g``
-        to serialize — true for every registry-built function (the whole
-        catalog, the ``random_g`` families, CLI expressions); see
-        :mod:`repro.functions.registry`.
 
     Batched ingestion (:meth:`update_batch`,
     :meth:`update_batch_second_pass`) runs through the fused ingestion
@@ -128,7 +122,6 @@ class GSumEstimator(MergeableSketch):
         cs_pool: int | None = None,
         cs_pool_policy: str = "sample",
         shards: int = 1,
-        shard_mode: str = "thread",
     ):
         if passes not in (0, 1, 2):
             raise ValueError("passes must be 0 (exact), 1, or 2")
@@ -189,7 +182,6 @@ class GSumEstimator(MergeableSketch):
             for r in range(self.repetitions)
         ]
         self.shards = int(shards)
-        self.shard_mode = str(shard_mode)
         self._ingest_plan = None
         self._second_plan = None
         self._register_mergeable(
@@ -240,15 +232,8 @@ class GSumEstimator(MergeableSketch):
         self,
         stream: TurnstileStream | Iterable[StreamUpdate],
         chunk_size: int = DEFAULT_CHUNK,
-        shards: int | None = None,
     ) -> "GSumEstimator":
-        return drive(
-            self,
-            stream,
-            chunk_size,
-            shards=self.shards if shards is None else shards,
-            shard_mode=self.shard_mode,
-        )
+        return drive(self, stream, chunk_size, shards=self.shards)
 
     def begin_second_pass(self) -> None:
         self._invalidate_ingest_plans()
@@ -294,15 +279,8 @@ class GSumEstimator(MergeableSketch):
         self,
         stream: TurnstileStream | Iterable[StreamUpdate],
         chunk_size: int = DEFAULT_CHUNK,
-        shards: int | None = None,
     ) -> "GSumEstimator":
-        return drive_second_pass(
-            self,
-            stream,
-            chunk_size,
-            shards=self.shards if shards is None else shards,
-            shard_mode=self.shard_mode,
-        )
+        return drive_second_pass(self, stream, chunk_size, shards=self.shards)
 
     # ---------------------------------------------------------- estimation
 
@@ -346,9 +324,8 @@ class GSumEstimator(MergeableSketch):
         constructor rebuilds them from the recorded configuration and the
         lineage rebuilds the exact hash functions.  Requires ``g`` (and a
         callable ``h_witness``, if one was passed) to be picklable — true
-        for every registry-built function.  This is what makes sharding's
-        process mode and the distributed process workers work for
-        estimators."""
+        for every registry-built function.  This is what lets the
+        distributed process workers host estimators."""
         config = dict(self._merge_config)
         return (
             _rebuild_estimator,
@@ -356,7 +333,7 @@ class GSumEstimator(MergeableSketch):
                 type(self),
                 config,
                 self._merge_lineage,
-                (self.shards, self.shard_mode),
+                (self.shards,),
                 self.to_state(),
             ),
         )
@@ -426,11 +403,11 @@ def _rebuild_estimator(cls, config, lineage, shard_opts, state):
     config = dict(config)
     if lineage is not None:
         config["seed"] = RandomSource.resolved(*lineage)
-    # Older pickles append a shard axis (3-tuple) and a fused flag
-    # (4-tuple).  Both are ignored: every axis and ingest path gave the
-    # same bits, and slab sharding plus the fused plane are all that remain.
-    shards, shard_mode = shard_opts[:2]
-    estimator = cls(**config, shards=shards, shard_mode=shard_mode)
+    # Older pickles carry (shards, shard_mode), then a shard axis (3-tuple)
+    # and a fused flag (4-tuple).  Only ``shards`` is read: every mode, axis
+    # and ingest path gave the same bits, and thread-pool slab sharding
+    # plus the fused plane are all that remain.
+    estimator = cls(**config, shards=shard_opts[0])
     if state.get("compat") != estimator.compat_digest():
         raise ValueError(
             "pickled estimator state does not match its rebuilt "

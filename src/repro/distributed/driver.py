@@ -22,6 +22,7 @@ commands are thin wrappers over the same worker/coordinator modules.
 
 from __future__ import annotations
 
+import pickle
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Iterable
@@ -107,12 +108,30 @@ def distributed_ingest(
     )
 
 
+def _pickled_sibling(sibling) -> bytes:
+    """A process worker's sibling, pickled in the parent rather than in
+    the pool's feeder thread: a sketch that cannot pickle then fails here,
+    at once and with advice, instead of leaving the coordinator to wait out
+    its round timeout for workers that never started."""
+    try:
+        return pickle.dumps(sibling)
+    except pickle.PicklingError as exc:
+        raise TypeError(
+            f"{type(sibling).__name__} cannot cross a process boundary "
+            f"({exc}); use mode 'thread', or build its GFunction through "
+            "repro.functions.registry so it serializes"
+        ) from exc
+
+
 def _spawned_round_worker(args):
     """Module-level so process mode can pickle it: run one round-protocol
-    worker end to end.  Socket sessions cannot cross a process boundary,
-    so each worker dials the endpoint itself."""
+    worker end to end.  A process worker's sibling arrives as the bytes of
+    :func:`_pickled_sibling`.  Socket sessions cannot cross a process
+    boundary, so each worker dials the endpoint itself."""
     (sibling, items, deltas, worker_id, transport, endpoint, chunk_size,
      delta_every, passes, timeout, codec) = args
+    if isinstance(sibling, bytes):
+        sibling = pickle.loads(sibling)
     if transport == "file":
         session = FileWorkerSession(endpoint)
     else:
@@ -140,6 +159,10 @@ def _run_session(
     happens.  Returns ``structure``."""
     items, deltas = as_columnar(stream, chunk_size)
     siblings = [structure.spawn_sibling() for _ in range(workers)]
+    if mode == "process":
+        # Every sibling pickles before the first submit, so a failure
+        # leaves no worker running and no channel to tear down.
+        siblings = [_pickled_sibling(sibling) for sibling in siblings]
     partitions = [worker_slice(items, deltas, i, workers) for i in range(workers)]
 
     tempdir = None

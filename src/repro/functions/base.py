@@ -154,8 +154,8 @@ class GFunction:
         """Pickle as the registry spec (never the wrapped callable): the
         unpickling side rebuilds through the registered factory, which is
         what lets estimators configured with library or ``random_g``
-        functions cross process boundaries (sharding process mode, the
-        distributed workers)."""
+        functions cross process boundaries (the distributed process
+        workers)."""
         import pickle
 
         from repro.functions.registry import from_spec, to_spec

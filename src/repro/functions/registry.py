@@ -2,8 +2,8 @@
 
 ``GFunction`` wraps an arbitrary callable, which makes it unpicklable by
 default — a problem the moment an estimator configured with one has to
-cross a process boundary (``ShardingEngine`` process mode, the distributed
-coordinator/worker drivers).  This module closes that gap without ever
+cross a process boundary (the distributed driver's process workers, the
+coordinator's process merge tree).  This module closes that gap without ever
 serializing code: every library factory and every ``random_g`` family is
 *registered* under a stable name, and the ``GFunction`` instances they
 produce carry a **spec** — a small JSON-serializable dict recording the
@@ -215,7 +215,7 @@ _SAFE_GLOBALS = {
 def expression(text: str) -> GFunction:
     """A ``GFunction`` from a restricted Python expression in ``x`` — the
     CLI's ad-hoc function syntax (e.g. ``"x**1.5"``).  Registered, so even
-    expression-built estimators serialize and process-shard."""
+    expression-built estimators serialize and cross process boundaries."""
     fn: Callable[[int], float] = eval(  # noqa: S307 - restricted namespace
         f"lambda x: float({text})", dict(_SAFE_GLOBALS)
     )

@@ -116,10 +116,7 @@ class AmsF2Sketch(MergeableSketch):
         return {"registers": encode_array(self._registers)}
 
     def _load_state_payload(self, payload: dict) -> None:
-        registers = decode_array(payload["registers"])
-        if registers.shape != self._registers.shape:
-            raise ValueError("state register shape mismatch")
-        self._registers = registers
+        self._registers = decode_array(payload["registers"], self._registers.shape)
 
     @classmethod
     def for_accuracy(

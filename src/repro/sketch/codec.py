@@ -179,22 +179,33 @@ def _sparse_cells(spec: dict, size: int, dtype) -> np.ndarray:
     return flat
 
 
-def decode_array(spec: dict) -> np.ndarray:
-    """Decode any codec's array spec (self-describing dispatch)."""
+def _require_size(declared, expected, what: str) -> None:
+    """The receiver's size check, made before a decoder allocates: a spec
+    declaring any ``what`` but ``expected`` (when given) is a ``ValueError``."""
+    if expected is not None and declared != expected:
+        raise ValueError(f"state declares {what} {declared}, receiver has {expected}")
+
+
+def decode_array(spec: dict, shape: tuple | None = None) -> np.ndarray:
+    """Decode any codec's array spec (self-describing dispatch).  A state
+    receiver passes its table's ``shape``; any other declared shape raises
+    ``ValueError`` before anything is allocated.  Nested index and value
+    buffers decode without one: the bytes received bound their size."""
     codec = spec.get("codec")
-    shape = tuple(spec["shape"])
+    declared = tuple(spec["shape"])
+    _require_size(declared, shape, "shape")
     if codec == "binary":
         dtype = _numeric_dtype(spec["dtype"])
-        arr = np.frombuffer(binary_payload_bytes(spec), dtype=dtype).reshape(shape)
+        arr = np.frombuffer(binary_payload_bytes(spec), dtype=dtype).reshape(declared)
         # frombuffer views are read-only; states must stay mutable (they
         # are merged into) and native-endian.
         return arr.astype(dtype.newbyteorder("="), copy=True)
     if codec == "sparse-binary":
-        return _sparse_cells(spec, int(np.prod(shape)), spec["dtype"]).reshape(shape)
+        return _sparse_cells(spec, int(np.prod(declared)), spec["dtype"]).reshape(declared)
     if codec is not None:
         raise ValueError(f"unknown array codec {codec!r}")
     arr = np.asarray(spec["__ndarray__"], dtype=np.dtype(spec["dtype"]))
-    return arr.reshape(shape)
+    return arr.reshape(declared)
 
 
 # ---------------------------------------------------------------- int maps
@@ -260,9 +271,14 @@ def encode_int_list(values: "List[int] | Iterable[int]") -> "list | dict":
     return out
 
 
-def decode_int_list(encoded: "list | dict") -> List[int]:
+def decode_int_list(encoded: "list | dict", length: int | None = None) -> List[int]:
+    """Decode an int list; given the receiver's ``length``, any other
+    declared length raises ``ValueError`` before anything is allocated."""
     if isinstance(encoded, dict):
         if encoded.get("codec") != "sparse-binary-list":
             raise ValueError(f"unknown int-list codec {encoded.get('codec')!r}")
-        return _sparse_cells(encoded, int(encoded["length"]), np.int64).tolist()
+        declared = int(encoded["length"])
+        _require_size(declared, length, "length")
+        return _sparse_cells(encoded, declared, np.int64).tolist()
+    _require_size(len(encoded), length, "length")
     return [int(v) for v in encoded]

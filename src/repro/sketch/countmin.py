@@ -104,7 +104,4 @@ class CountMinSketch(MergeableSketch):
         return {"table": encode_array(self._table)}
 
     def _load_state_payload(self, payload: dict) -> None:
-        table = decode_array(payload["table"])
-        if table.shape != self._table.shape:
-            raise ValueError("state table shape mismatch")
-        self._table = table
+        self._table = decode_array(payload["table"], self._table.shape)

@@ -491,10 +491,7 @@ class CountSketch(MergeableSketch):
         }
 
     def _load_state_payload(self, payload: dict) -> None:
-        table = decode_array(payload["table"])
-        if table.shape != self._table.shape:
-            raise ValueError("state table shape mismatch")
-        self._table = table
+        self._table = decode_array(payload["table"], self._table.shape)
         self._candidates = decode_int_map(payload["candidates"])
         self._cand_arr = None
         if self.pool_policy == "evict-by-estimate":

@@ -119,21 +119,18 @@ def drive(
     stream: "TurnstileStream | Iterable[StreamUpdate]",
     chunk_size: int = DEFAULT_CHUNK,
     shards: int = 1,
-    shard_mode: str = "thread",
 ):
     """Feed a stream into a structure, batched when it supports it.
 
     With ``shards > 1`` the stream is split across sibling sketches driven
-    by a worker pool and merged back — requires the structure to implement
+    by a thread pool and merged back — requires the structure to implement
     the mergeable-sketch protocol (see :mod:`repro.streams.sharding`); the
     result is bit-identical to sequential ingestion.
     """
     if shards > 1:
         from repro.streams.sharding import ingest_sharded
 
-        return ingest_sharded(
-            structure, stream, shards, chunk_size, mode=shard_mode
-        )
+        return ingest_sharded(structure, stream, shards, chunk_size)
     update_batch = getattr(structure, "update_batch", None)
     if update_batch is None:
         for update in stream:
@@ -149,19 +146,13 @@ def drive_second_pass(
     stream: "TurnstileStream | Iterable[StreamUpdate]",
     chunk_size: int = DEFAULT_CHUNK,
     shards: int = 1,
-    shard_mode: str = "thread",
 ):
     """Second-pass analogue of :func:`drive` for two-pass structures."""
     if shards > 1:
         from repro.streams.sharding import ingest_sharded
 
         return ingest_sharded(
-            structure,
-            stream,
-            shards,
-            chunk_size,
-            mode=shard_mode,
-            second_pass=True,
+            structure, stream, shards, chunk_size, second_pass=True
         )
     update_batch = getattr(structure, "update_batch_second_pass", None)
     if update_batch is None:

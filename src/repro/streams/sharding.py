@@ -3,31 +3,21 @@
 The scale lever the mergeable-sketch protocol exists for: split a stream's
 columnar ``(items, deltas)`` arrays into N contiguous shard slabs, drive
 each slab into a :meth:`~repro.sketch.base.MergeableSketch.spawn_sibling`
-of the target structure on a worker pool, and fold the shard states back
+of the target structure on a thread pool, and fold the shard states back
 with :meth:`~repro.sketch.base.MergeableSketch.merge`.  Because every
 implementer's state transition is order- and chunking-insensitive (the
 invariance contract of :mod:`repro.sketch.base`), the merged result is
 **bit-identical** to sequential ingestion — sharding is a pure throughput
 decision, never an accuracy trade.
 
-Three execution modes:
-
-``thread`` (default)
-    ``ThreadPoolExecutor`` over ``update_batch``.  The numpy kernels
-    (Horner hashing, ``np.bincount`` scatter-adds) release the GIL, so
-    linear-sketch ingestion scales with cores without pickling anything.
-``process``
-    ``ProcessPoolExecutor``; each worker receives a pickled empty sibling
-    plus its slab and ships its ``to_state()`` dict back.  Requires the
-    sketch to be picklable: the raw sketches are, and ``GSumEstimator``
-    is whenever its ``GFunction`` was built through the named-function
-    registry (:mod:`repro.functions.registry`) — every catalog entry,
-    ``random_g`` family member, and CLI expression qualifies.  A
-    hand-rolled ``GFunction(fn, ...)`` is the one thing that still needs
-    thread mode.
-``serial``
-    Same spawn/merge dataflow on the caller's thread.  Useful for testing
-    the merge path and as the degenerate N=1 case.
+The pool runs ``update_batch`` on each slab.  The numpy kernels (Horner
+hashing, ``np.bincount`` scatter-adds) release the GIL, so ingestion
+spills onto spare cores without pickling anything, and any sketch shards
+— a hand-rolled ``GFunction`` included.  Shard 0 folds into the caller's
+structure and the siblings merge back in slab order, so the result never
+depends on thread scheduling.  Work that must cross a process boundary
+goes through the distributed driver's process workers
+(:func:`repro.distributed.driver.distributed_ingest`) instead.
 
 The same engine drives second passes (``second_pass=True`` uses
 ``update_batch_second_pass`` on phase-cloned siblings), which is how
@@ -36,8 +26,7 @@ The same engine drives second passes (``second_pass=True`` uses
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -45,8 +34,6 @@ import numpy as np
 from repro.sketch.base import MergeableSketch
 from repro.streams.batching import DEFAULT_CHUNK, iter_update_chunks
 from repro.streams.model import StreamUpdate, TurnstileStream
-
-SHARD_MODES = ("thread", "process", "serial")
 
 
 def shard_slabs(
@@ -92,22 +79,14 @@ def as_columnar(
 
 def feed_chunks(structure, items, deltas, chunk_size=DEFAULT_CHUNK, second_pass=False):
     """Drive a columnar slab into ``structure`` through its batch method in
-    ``chunk_size`` pieces (the per-worker inner loop of every shard mode,
-    and of the distributed workers)."""
+    ``chunk_size`` pieces (the per-shard inner loop of the thread pool, and
+    of the distributed workers)."""
     update = (
         structure.update_batch_second_pass if second_pass else structure.update_batch
     )
     for start in range(0, items.shape[0], chunk_size):
         update(items[start : start + chunk_size], deltas[start : start + chunk_size])
     return structure
-
-
-def _process_worker(args):
-    """Module-level so ProcessPoolExecutor can pickle it: fill the shipped
-    sibling and return its serialized state."""
-    sibling, items, deltas, chunk_size, second_pass = args
-    feed_chunks(sibling, items, deltas, chunk_size, second_pass)
-    return sibling.to_state()
 
 
 def supports_sharding(structure) -> bool:
@@ -123,15 +102,13 @@ def ingest_sharded(
     stream: "TurnstileStream | Iterable[StreamUpdate]",
     shards: int,
     chunk_size: int = DEFAULT_CHUNK,
-    mode: str = "thread",
+    *,
     second_pass: bool = False,
 ):
     """Ingest ``stream`` into ``structure`` across ``shards`` parallel
     shards and merge; state afterwards is bit-identical to sequential
     ingestion.  Returns ``structure``.
     """
-    if mode not in SHARD_MODES:
-        raise ValueError(f"shard mode must be one of {SHARD_MODES}, got {mode!r}")
     if not supports_sharding(structure):
         raise TypeError(
             f"{type(structure).__name__} does not implement the "
@@ -154,39 +131,13 @@ def ingest_sharded(
     siblings = [structure.spawn_sibling() for _ in slabs[1:]]
     workers = [structure] + siblings
 
-    if mode == "serial":
-        for worker, (slab_items, slab_deltas) in zip(workers, slabs):
-            feed_chunks(worker, slab_items, slab_deltas, chunk_size, second_pass)
-    elif mode == "thread":
-        with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
-            futures = [
-                pool.submit(feed_chunks, worker, si, sd, chunk_size, second_pass)
-                for worker, (si, sd) in zip(workers, slabs)
-            ]
-            for future in futures:
-                future.result()
-    else:  # process
-        with ProcessPoolExecutor(max_workers=len(slabs) - 1) as pool:
-            try:
-                jobs = [
-                    pool.submit(
-                        _process_worker, (sib, si, sd, chunk_size, second_pass)
-                    )
-                    for sib, (si, sd) in zip(siblings, slabs[1:])
-                ]
-                feed_chunks(
-                    structure, slabs[0][0], slabs[0][1], chunk_size, second_pass
-                )
-                siblings = [
-                    sib.from_state(job.result()) for sib, job in zip(siblings, jobs)
-                ]
-            except pickle.PicklingError as exc:
-                raise TypeError(
-                    f"{type(structure).__name__} cannot cross a process "
-                    f"boundary ({exc}); use shard mode 'thread', or build "
-                    "its GFunction through repro.functions.registry so it "
-                    "serializes"
-                ) from exc
+    with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
+        futures = [
+            pool.submit(feed_chunks, worker, si, sd, chunk_size, second_pass)
+            for worker, (si, sd) in zip(workers, slabs)
+        ]
+        for future in futures:
+            future.result()
 
     for sibling in siblings:
         structure.merge(sibling)

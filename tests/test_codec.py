@@ -5,17 +5,25 @@ a corrupt index buffer would otherwise wrap (negative indices), overwrite
 (duplicates) or drop (unmatched keys) cells without a sound.  Every such
 payload must raise ``ValueError`` — the one error class the distributed
 round and the snapshot store already handle — before anything merges.
-States tagged with a deleted codec fail the same way, at the tag check.
+So must a state whose table ``shape`` or list ``length`` declares more
+cells than its receiver holds, before the decoder allocates them: each
+case runs under ``tracemalloc`` with a 1 MiB peak budget.  States tagged
+with a deleted codec fail the same way, at the tag check.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dist import DistDetector
+from repro.core.gnp import GnpHeavyHitterSketch
 from repro.distributed.coordinator import RoundCoordinator
+from repro.sketch.ams import AmsF2Sketch
 from repro.sketch.codec import (
     CODECS,
     _binary_spec,
@@ -24,6 +32,7 @@ from repro.sketch.codec import (
     decode_int_list,
     decode_int_map,
 )
+from repro.sketch.countmin import CountMinSketch
 from repro.sketch.countsketch import CountSketch
 from repro.streams.generators import zipf_stream
 
@@ -87,11 +96,65 @@ def test_valid_sparse_payloads_decode():
     assert decode_int_list(_list([1, 3], [2, -6])) == [0, 2, 0, -6]
 
 
-@pytest.mark.parametrize("case", sorted(CORRUPT))
+#: receiver -> (build, path in its payload to a sized field); every other
+#: receiver of a mergeable state decodes maps, whose size the bytes bound.
+RECEIVERS = {
+    "countsketch": (lambda: CountSketch(3, 64, track=8, seed=1), ("table",)),
+    "countmin": (lambda: CountMinSketch(3, 64, seed=1), ("table",)),
+    "ams": (lambda: AmsF2Sketch(3, 8, seed=1), ("registers",)),
+    "dist": (
+        lambda: DistDetector([5, 101], 1, 256, pieces=24, seed=9), ("counters",)
+    ),
+    "gnp": (
+        lambda: GnpHeavyHitterSketch(256, 0.5, substreams=8, seed=7),
+        ("substreams", 0, "trial_counters"),
+    ),
+}
+
+#: case -> (receiver, declared cell count): 2^40 cells cannot be allocated
+#: at all, 10^7 would be (80 MB, or a 10^7-element list) before a late check.
+OVERSIZED = {
+    f"{name}-{label}": (name, cells)
+    for name in RECEIVERS
+    for label, cells in (("2**40-cells", 1 << 40), ("10**7-cells", 10**7))
+}
+
+
+def _case(case):
+    """``(call, message, receiver)``: a zero-argument call that must raise
+    ``ValueError`` matching ``message``, and the receiver it must leave
+    untouched (``None`` for a bare decoder call)."""
+    if case in CORRUPT:
+        decode, payload, match = CORRUPT[case]
+        return (lambda: decode(payload)), match, None
+    name, cells = OVERSIZED[case]
+    build, path = RECEIVERS[name]
+    receiver = build()
+    state = receiver.to_state(codec="sparse-binary")
+    spec = state["payload"]
+    for key in path:
+        spec = spec[key]
+    if "length" in spec:
+        spec["length"] = cells
+    else:
+        spec["shape"] = [1] * (len(spec["shape"]) - 1) + [cells]
+    return (lambda: receiver.from_state(state)), "receiver has", receiver
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT) + sorted(OVERSIZED))
 def test_corrupt_payload_raises_value_error(case):
-    decode, payload, match = CORRUPT[case]
-    with pytest.raises(ValueError, match=match):
-        decode(payload)
+    call, match, receiver = _case(case)
+    before = None if receiver is None else receiver.to_state()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"decoder peaked at {peak:,} bytes"
+    if receiver is not None:
+        assert receiver.to_state() == before
 
 
 def _filled_countsketch() -> CountSketch:

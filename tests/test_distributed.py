@@ -128,18 +128,6 @@ class TestEqualityGate:
         assert merged.estimate() == sequential.estimate()
         assert dumps_state(merged.to_state()) == dumps_state(sequential.to_state())
 
-    def test_gsum_process_mode_sharding_equality(self):
-        """The sharding engine's process mode (unblocked by the registry)
-        passes the same gate: shards=2 process == serial, bit for bit."""
-        sequential = fresh_estimator()
-        sequential.process(STREAM)
-        sharded = fresh_estimator(shards=2, shard_mode="process")
-        sharded.process(STREAM)
-        assert sharded.estimate() == sequential.estimate()
-        assert dumps_state(sharded.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-
     def test_two_pass_distributed_both_passes(self):
         """Both passes distributed, at a worker count outside the k in
         {2, 4} matrix: the two-round session equals single-machine

@@ -291,13 +291,19 @@ class TestFallbacks:
         assert _state(est) == before
 
     def test_old_pickle_formats_load_and_ingest(self):
-        # Earlier releases pickled (shards, shard_mode, shard_axis, fused)
-        # and, before that, (shards, shard_mode, shard_axis).  Both still
-        # load, ignore the dropped slots, and keep ingesting through the
-        # plan bit-identically to the oracle.
+        # Earlier releases pickled (shards, shard_mode, shard_axis, fused),
+        # before that (shards, shard_mode, shard_axis), and before that
+        # (shards, shard_mode) with any of the deleted "thread", "process"
+        # and "serial" modes.  All still load, read only ``shards``, and
+        # keep ingesting through the plan bit-identically to the oracle.
         import pickle
 
-        for shard_opts in ((2, "thread", "repetition", False), (2, "thread", "slab")):
+        for shard_opts in (
+            (2, "thread", "repetition", False),
+            (2, "thread", "slab"),
+            (2, "process"),
+            (2, "serial"),
+        ):
             est, legacy = _pair(44)
             items, deltas = _stream(18, size=100)
             _feed(est, items, deltas)
@@ -305,7 +311,8 @@ class TestFallbacks:
             rebuild, args = est.__reduce__()
             old_args = args[:3] + (shard_opts,) + args[4:]
             revived = pickle.loads(pickle.dumps(_Reduced(rebuild, old_args)))
-            assert (revived.shards, revived.shard_mode) == (2, "thread")
+            assert revived.shards == 2
+            assert not hasattr(revived, "shard_mode")
             more_i, more_d = _stream(19, size=80)
             _feed(revived, more_i, more_d)
             _oracle_feed(legacy, more_i, more_d)

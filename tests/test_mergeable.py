@@ -146,9 +146,9 @@ CASES = [(build, observe) for _, build, observe in IMPLEMENTERS]
 
 def sharded_copy(build, stream, shards):
     """Build a structure and ingest ``stream`` through k spawned siblings
-    merged back (the serial engine: same spawn/merge dataflow as the
-    thread and process pools, deterministic scheduling)."""
-    return ingest_sharded(build(), stream, shards, chunk_size=61, mode="serial")
+    on the sharding engine's thread pool, merged back in slab order (the
+    path ``shards=N`` users get)."""
+    return ingest_sharded(build(), stream, shards, chunk_size=61)
 
 
 @pytest.mark.parametrize("build,observe", CASES, ids=IDS)
@@ -233,11 +233,9 @@ class TestTwoPassSharding:
 
     def _run_sharded(self, build, shards):
         sketch = build()
-        ingest_sharded(sketch, STREAM, shards, chunk_size=61, mode="serial")
+        ingest_sharded(sketch, STREAM, shards, chunk_size=61)
         sketch.begin_second_pass()
-        ingest_sharded(
-            sketch, STREAM, shards, chunk_size=61, mode="serial", second_pass=True
-        )
+        ingest_sharded(sketch, STREAM, shards, chunk_size=61, second_pass=True)
         return sketch
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)

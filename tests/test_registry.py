@@ -2,17 +2,22 @@
 
 Round-trip every library function and the random families through the
 spec serialization and assert *identical* values, names, and declared
-properties; prove the pickling path that unblocks process-mode sharding
-for estimators; and pin the equality gate: process-mode
-``GSumEstimator(shards=2)`` equals serial bit for bit.
+properties; prove the pickling path that lets estimators cross a process
+boundary; and pin the equality gate: an estimator ingested by the
+distributed driver's process workers equals sequential ingestion bit for
+bit.  An estimator whose ``GFunction`` bypassed the registry fails at
+once with advice that points here, on every transport.
 """
 
 import json
 import pickle
+import tempfile
+import time
 
 import pytest
 
 from repro.core.gsum import GSumEstimator
+from repro.distributed import distributed_ingest
 from repro.functions.base import GFunction
 from repro.functions.library import catalog, linear, moment
 from repro.functions.random_g import (
@@ -123,7 +128,8 @@ class TestDerivedAndAdHoc:
 
 class TestProcessModeEstimator:
     """The gate the registry exists for: estimators cross process
-    boundaries, and process-mode sharding equals serial bit for bit."""
+    boundaries, and process-mode distributed ingestion equals sequential
+    ingestion bit for bit."""
 
     N = 512
     STREAM = zipf_stream(n=N, total_mass=12_000, skew=1.2, seed=31,
@@ -141,27 +147,34 @@ class TestProcessModeEstimator:
         assert dumps_state(clone.to_state()) == dumps_state(est.to_state())
 
     @pytest.mark.parametrize("g_text", ("x^2", "x**1.5"))
-    def test_process_mode_shards_equal_serial(self, g_text):
-        g = resolve_function(g_text)
-        serial = self._estimator(g, shards=2, shard_mode="serial")
-        serial.process(self.STREAM)
-        process = self._estimator(resolve_function(g_text), shards=2,
-                                  shard_mode="process")
-        process.process(self.STREAM)
-        assert process.estimate() == serial.estimate()
+    def test_process_workers_equal_sequential(self, g_text):
+        """A catalog entry and an expression-built ``g`` both cross a real
+        process boundary and merge back to the sequential bits."""
+        sequential = self._estimator(resolve_function(g_text))
+        sequential.process(self.STREAM)
+        process = distributed_ingest(
+            self._estimator(resolve_function(g_text)), self.STREAM,
+            workers=2, mode="process",
+        )
+        assert process.estimate() == sequential.estimate()
         assert dumps_state(process.to_state()) == dumps_state(
-            serial.to_state()
+            sequential.to_state()
         )
 
-    def test_two_pass_process_mode(self):
-        a = self._estimator(moment(2.0), passes=2).run(self.STREAM, exact=False)
-        b = self._estimator(
-            moment(2.0), passes=2, shards=2, shard_mode="process"
-        ).run(self.STREAM, exact=False)
-        assert b.estimate == a.estimate
-
-    def test_unpicklable_estimator_process_mode_advises(self):
+    @pytest.mark.parametrize("transport", ("file", "socket"))
+    def test_unpicklable_estimator_process_mode_advises(
+        self, transport, tmp_path, monkeypatch
+    ):
+        """A hand-rolled ``GFunction`` fails before any worker starts: the
+        registry advice surfaces at once instead of a round timeout that
+        blames the workers, and no rendezvous directory is left behind."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         bare = GFunction(lambda x: float(x * x), "adhoc")
-        est = self._estimator(bare, shards=2, shard_mode="process")
+        start = time.monotonic()
         with pytest.raises(TypeError, match="registry"):
-            est.process(self.STREAM)
+            distributed_ingest(
+                self._estimator(bare), self.STREAM, workers=2,
+                transport=transport, mode="process", timeout=60,
+            )
+        assert time.monotonic() - start < 5
+        assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,12 @@
 """The sharded parallel ingestion engine (``repro.streams.sharding``).
 
-Exactness first: every mode (serial / thread / process) must leave state
-bit-identical to sequential ingestion — sharding is a throughput decision,
-never an accuracy trade.  Then the integration surfaces: ``drive(...,
-shards=N)``, ``GSumEstimator(..., shards=N)``, and the ``repro ingest
---shards N`` CLI flag.
+Exactness first: the thread pool must leave state bit-identical to
+sequential ingestion — sharding is a throughput decision, never an
+accuracy trade.  Then the integration surfaces: ``drive(..., shards=N)``,
+``GSumEstimator(..., shards=N)``, and the ``repro ingest --shards N`` CLI
+flag.  ``shards`` is the only sharding option: the options that picked an
+execution mode, or re-picked the shard count per call, are gone and
+raise ``TypeError`` (argparse's error on the CLI).
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from repro.functions.library import moment
 from repro.sketch.ams import AmsF2Sketch
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.countsketch import CountSketch
-from repro.streams.batching import drive
+from repro.streams.batching import drive, drive_second_pass
 from repro.streams.generators import zipf_stream
 from repro.streams.io import save_stream
 from repro.streams.model import StreamUpdate, TurnstileStream
@@ -27,44 +29,33 @@ G2 = moment(2.0)
 STREAM = zipf_stream(n=N, total_mass=12_000, skew=1.2, seed=31, turnstile_noise=0.3)
 
 
-class TestModesIdentical:
-    @pytest.mark.parametrize("mode", ("serial", "thread", "process"))
-    def test_countsketch_all_modes(self, mode):
+class TestShardedIdentical:
+    def test_countsketch(self):
         sequential = drive(CountSketch(5, 256, track=16, seed=9), STREAM)
-        sharded = ingest_sharded(
-            CountSketch(5, 256, track=16, seed=9), STREAM, 4, mode=mode
-        )
+        sharded = ingest_sharded(CountSketch(5, 256, track=16, seed=9), STREAM, 4)
         assert np.array_equal(sharded._table, sequential._table)
         assert sharded._candidates == sequential._candidates
         assert sharded.top_candidates() == sequential.top_candidates()
 
-    @pytest.mark.parametrize("mode", ("serial", "thread"))
-    def test_ams_and_countmin(self, mode):
+    def test_ams_and_countmin(self):
         a = drive(AmsF2Sketch(5, 16, seed=9), STREAM)
-        b = ingest_sharded(AmsF2Sketch(5, 16, seed=9), STREAM, 4, mode=mode)
+        b = ingest_sharded(AmsF2Sketch(5, 16, seed=9), STREAM, 4)
         assert np.array_equal(a._registers, b._registers)
         c = drive(CountMinSketch(5, 256, seed=9), STREAM)
-        d = ingest_sharded(CountMinSketch(5, 256, seed=9), STREAM, 4, mode=mode)
+        d = ingest_sharded(CountMinSketch(5, 256, seed=9), STREAM, 4)
         assert np.array_equal(c._table, d._table)
 
-    def test_thread_mode_gsum_estimator(self):
+    def test_gsum_estimator(self):
         sequential = drive(
             GSumEstimator(G2, N, heaviness=0.15, repetitions=2, seed=5), STREAM
         )
         sharded = ingest_sharded(
-            GSumEstimator(G2, N, heaviness=0.15, repetitions=2, seed=5),
-            STREAM,
-            4,
-            mode="thread",
+            GSumEstimator(G2, N, heaviness=0.15, repetitions=2, seed=5), STREAM, 4
         )
         assert sharded.estimate() == sequential.estimate()
 
 
 class TestEngineEdges:
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError, match="shard mode"):
-            ingest_sharded(CountSketch(3, 32, seed=1), STREAM, 2, mode="gpu")
-
     def test_unsupported_structure(self):
         class Bare:
             def update_batch(self, items, deltas):
@@ -133,13 +124,11 @@ class TestDriveIntegration:
     def test_estimator_shards_constructor(self):
         sequential = GSumEstimator(G2, N, heaviness=0.15, repetitions=2, seed=5)
         sequential.process(STREAM)
-        for mode in ("thread", "serial"):
-            sharded = GSumEstimator(
-                G2, N, heaviness=0.15, repetitions=2, seed=5,
-                shards=4, shard_mode=mode,
-            )
-            sharded.process(STREAM)
-            assert sharded.estimate() == sequential.estimate()
+        sharded = GSumEstimator(
+            G2, N, heaviness=0.15, repetitions=2, seed=5, shards=4
+        )
+        sharded.process(STREAM)
+        assert sharded.estimate() == sequential.estimate()
 
     def test_estimator_two_pass_run_sharded(self):
         sequential = GSumEstimator(
@@ -177,3 +166,48 @@ class TestCliShards:
         )
         assert code == 0
         assert "estimate" in capsys.readouterr().out
+
+
+def _two_pass_estimator():
+    estimator = GSumEstimator(G2, N, passes=2, heaviness=0.15, repetitions=2, seed=5)
+    estimator.begin_second_pass()
+    return estimator
+
+
+#: The removed options that picked an execution mode or re-picked the shard
+#: count per call; each is now an unexpected keyword.
+REMOVED_OPTIONS = {
+    "ingest_sharded-mode": lambda: ingest_sharded(
+        CountSketch(3, 32, seed=1), STREAM, 2, mode="thread"
+    ),
+    "drive-shard_mode": lambda: drive(
+        CountSketch(3, 32, seed=1), STREAM, shards=2, shard_mode="thread"
+    ),
+    "drive_second_pass-shard_mode": lambda: drive_second_pass(
+        _two_pass_estimator(), STREAM, shards=2, shard_mode="thread"
+    ),
+    "GSumEstimator-shard_mode": lambda: GSumEstimator(
+        G2, N, shards=2, shard_mode="thread"
+    ),
+    "process-shards": lambda: GSumEstimator(G2, N, seed=5).process(STREAM, shards=2),
+    "process_second_pass-shards": lambda: _two_pass_estimator().process_second_pass(
+        STREAM, shards=2
+    ),
+}
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("option", sorted(REMOVED_OPTIONS))
+    def test_removed_option_raises_type_error(self, option):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            REMOVED_OPTIONS[option]()
+
+    @pytest.mark.parametrize("command", ("estimate", "ingest"))
+    def test_shard_mode_flag_is_an_argparse_error(self, command, tmp_path, capsys):
+        path = tmp_path / "stream.jsonl"
+        save_stream(STREAM, path)
+        args = [command] + (["x**2"] if command == "estimate" else [])
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + [str(path), "--shards", "2", "--shard-mode", "thread"])
+        assert exit_info.value.code == 2
+        assert "--shard-mode" in capsys.readouterr().err
