@@ -11,10 +11,9 @@ Two tables:
   *same stream* stay inside it — making the "probabilistic over hash
   choice" fine print measurable.
 * ``S5_POOL_CLIFF`` — the deferred-pool degradation cliff: heavy-hitter
-  recall as distinct-item counts sweep past the pool bound, under the
-  ``sample`` policy (degrades to a uniform identity sample) and the
-  ``evict-by-estimate`` fallback (retains the heavy items), with the
-  candidate-count columns proving memory stays bounded either way.
+  recall as distinct-item counts sweep past the pool bound (the pool
+  degrades to a uniform identity sample), with the candidate-count column
+  proving memory stays bounded at ``pool``.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the reduced-size CI version; the committed
 ``bench_baseline.json`` entries are smoke-mode values tracked by
@@ -133,22 +132,17 @@ def _cliff_rows() -> list[dict]:
         )
         order = source.permutation(items.shape[0])
         items, deltas = items[order], deltas[order]
-        for policy in ("sample", "evict-by-estimate"):
-            cs = CountSketch(
-                5, 1024, track=CLIFF_HEAVY, seed=7, pool=CLIFF_POOL, pool_policy=policy
-            )
-            cs.update_batch(items, deltas)
-            top = {e.item for e in cs.top_candidates()}
-            rows.append(
-                {
-                    "distinct": distinct,
-                    "policy": policy,
-                    "pool": cs.pool,
-                    "heavy_recall": round(len(top & set(heavy.tolist())) / CLIFF_HEAVY, 4),
-                    "candidates": len(cs._candidates),
-                    "candidate_cap": cs.pool + cs._pool_slack,
-                }
-            )
+        cs = CountSketch(5, 1024, track=CLIFF_HEAVY, seed=7, pool=CLIFF_POOL)
+        cs.update_batch(items, deltas)
+        top = {e.item for e in cs.top_candidates()}
+        rows.append(
+            {
+                "distinct": distinct,
+                "pool": cs.pool,
+                "heavy_recall": round(len(top & set(heavy.tolist())) / CLIFF_HEAVY, 4),
+                "candidates": len(cs._candidates),
+            }
+        )
     return rows
 
 
@@ -178,8 +172,7 @@ def test_s5_adversarial(benchmark):
 
 def test_s5_pool_cliff(benchmark):
     def core():
-        cs = CountSketch(5, 1024, track=8, seed=7, pool=64,
-                         pool_policy="evict-by-estimate")
+        cs = CountSketch(5, 1024, track=8, seed=7, pool=64)
         items = np.arange(4096, dtype=np.int64)
         cs.update_batch(items, np.ones_like(items))
         return len(cs._candidates)
@@ -187,28 +180,14 @@ def test_s5_pool_cliff(benchmark):
     benchmark(core)
     rows = emit_table(
         "S5_POOL_CLIFF",
-        "candidate-pool degradation past the pool bound, by eviction policy",
+        "candidate-pool degradation past the pool bound",
         _cliff_rows(),
-        claim="past ~pool distinct items the sample policy's recall falls "
-        "off a cliff (the pool degrades to a uniform identity sample) while "
-        "evict-by-estimate keeps heavy-hitter recall near 1.0 until "
-        "~buckets^2 distinct items (~2^20 at 1024 buckets), where a few "
-        "noise items collide with heavy buckets in a majority of rows and "
-        "outrank true heavies past the median filter — graceful accuracy "
-        "degradation; both policies keep the candidate count bounded at "
-        "pool + slack",
+        claim="past ~pool distinct items heavy-hitter recall falls off a "
+        "cliff: the pool holds the pool identities with the smallest pool "
+        "hash, a uniform sample in which a heavy item is no likelier to stay "
+        "than noise; the candidate count stays at most pool.  The lever is "
+        "pool (cs_pool on the estimators): set at or above the stream's "
+        "distinct count, identification is exact",
     )
     for row in rows:
-        assert row["candidates"] <= row["candidate_cap"], row
-        if row["policy"] == "evict-by-estimate":
-            # The documented residual cliff: recall stays high until the
-            # item count reaches ~buckets^2, then degrades gracefully
-            # (never to the sample policy's uniform-sample floor).
-            floor = 0.9 if row["distinct"] <= 262_144 else 0.5
-            assert row["heavy_recall"] >= floor, row
-    largest = max(r["distinct"] for r in rows)
-    final = {r["policy"]: r for r in rows if r["distinct"] == largest}
-    assert (
-        final["evict-by-estimate"]["heavy_recall"]
-        > final["sample"]["heavy_recall"]
-    )
+        assert row["candidates"] <= row["pool"], row

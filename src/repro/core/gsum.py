@@ -80,13 +80,9 @@ class GSumEstimator(MergeableSketch):
         Algorithm 2 stability pruning (1-pass only).
     cs_pool:
         Candidate-pool bound forwarded to every level CountSketch
-        (default 2^20); lower it for memory-sensitive deployments with
-        huge distinct-item counts.
-    cs_pool_policy:
-        Pool overflow policy forwarded to every level CountSketch:
-        ``"sample"`` (default, order-insensitive) or
-        ``"evict-by-estimate"`` (graceful degradation under pathological
-        cardinality; see :class:`~repro.sketch.countsketch.CountSketch`).
+        (default 2^20).  Identification is exact while a level sees at
+        most this many distinct items and a uniform sample past it, so
+        lower it only to bound memory.
     shards:
         Parallel ingestion shards for :meth:`process` /
         :meth:`process_second_pass` / :meth:`run`.  ``shards > 1`` splits
@@ -120,7 +116,6 @@ class GSumEstimator(MergeableSketch):
         cs_max_buckets: int = 1 << 14,
         cs_max_rows: int = 7,
         cs_pool: int | None = None,
-        cs_pool_policy: str = "sample",
         shards: int = 1,
     ):
         if passes not in (0, 1, 2):
@@ -159,7 +154,6 @@ class GSumEstimator(MergeableSketch):
                     cs_max_buckets=cs_max_buckets,
                     cs_max_rows=cs_max_rows,
                     cs_pool=cs_pool,
-                    cs_pool_policy=cs_pool_policy,
                 )
             return TwoPassGHeavyHitter(
                 g,
@@ -172,7 +166,6 @@ class GSumEstimator(MergeableSketch):
                 cs_max_buckets=cs_max_buckets,
                 cs_max_rows=cs_max_rows,
                 cs_pool=cs_pool,
-                cs_pool_policy=cs_pool_policy,
             )
 
         self._sketches: List[RecursiveGSumSketch] = [
@@ -199,7 +192,6 @@ class GSumEstimator(MergeableSketch):
             cs_max_buckets=int(cs_max_buckets),
             cs_max_rows=int(cs_max_rows),
             cs_pool=cs_pool,
-            cs_pool_policy=str(cs_pool_policy),
         )
 
     # ----------------------------------------------------------- streaming
@@ -325,7 +317,9 @@ class GSumEstimator(MergeableSketch):
         lineage rebuilds the exact hash functions.  Requires ``g`` (and a
         callable ``h_witness``, if one was passed) to be picklable — true
         for every registry-built function.  This is what lets the
-        distributed process workers host estimators."""
+        distributed process workers host estimators.  The state travels
+        under the ``sparse-binary`` codec, so an empty or sparse sibling
+        pickles to kilobytes instead of its dense tables' megabytes."""
         config = dict(self._merge_config)
         return (
             _rebuild_estimator,
@@ -334,7 +328,7 @@ class GSumEstimator(MergeableSketch):
                 config,
                 self._merge_lineage,
                 (self.shards,),
-                self.to_state(),
+                self.to_state(codec="sparse-binary"),
             ),
         )
 

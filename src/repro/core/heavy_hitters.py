@@ -107,7 +107,6 @@ class OnePassGHeavyHitter(MergeableSketch):
         cs_max_buckets: int = 1 << 14,
         cs_max_rows: int = 7,
         cs_pool: int | None = None,
-        cs_pool_policy: str = "sample",
     ):
         if not 0 < heaviness <= 1:
             raise ValueError("heaviness must be in (0, 1]")
@@ -127,7 +126,6 @@ class OnePassGHeavyHitter(MergeableSketch):
             max_buckets=cs_max_buckets,
             max_rows=cs_max_rows,
             pool=cs_pool,
-            pool_policy=cs_pool_policy,
         )
         self._ams = AmsF2Sketch.for_accuracy(0.5, failure / 2.0, source.child("ams"))
         self._register_mergeable(
@@ -144,7 +142,6 @@ class OnePassGHeavyHitter(MergeableSketch):
             cs_max_buckets=int(cs_max_buckets),
             cs_max_rows=int(cs_max_rows),
             cs_pool=cs_pool,
-            cs_pool_policy=str(cs_pool_policy),
         )
 
     def update(self, item: int, delta: int) -> None:
@@ -271,7 +268,6 @@ class TwoPassGHeavyHitter(MergeableSketch):
         cs_max_buckets: int = 1 << 14,
         cs_max_rows: int = 7,
         cs_pool: int | None = None,
-        cs_pool_policy: str = "sample",
     ):
         if not 0 < heaviness <= 1:
             raise ValueError("heaviness must be in (0, 1]")
@@ -288,7 +284,6 @@ class TwoPassGHeavyHitter(MergeableSketch):
             max_buckets=cs_max_buckets,
             max_rows=cs_max_rows,
             pool=cs_pool,
-            pool_policy=cs_pool_policy,
         )
         self._second: ExactCounter | None = None
         self._n = int(n)
@@ -303,7 +298,6 @@ class TwoPassGHeavyHitter(MergeableSketch):
             cs_max_buckets=int(cs_max_buckets),
             cs_max_rows=int(cs_max_rows),
             cs_pool=cs_pool,
-            cs_pool_policy=str(cs_pool_policy),
         )
 
     # -------------------------------------------------------------- passes

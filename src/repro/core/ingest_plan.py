@@ -331,9 +331,6 @@ class IngestPlan(_FusedPlan):
             np.concatenate(key_parts),
             np.concatenate(weight_parts),
         )
-        # Pool admissions run after the scatter so an evict-by-estimate
-        # prune reads its cell's fully-updated table — exactly the state
-        # the per-cell order (table rows, then pool) exposes.
         for cs, su in admissions:
             cs._admit_batch(cs._fresh_candidates(su))
 

@@ -27,22 +27,10 @@ stream yield bit-for-bit identical candidates and estimates.  The scalar
 transition; ``tests/test_batch_equivalence.py`` and
 ``tests/test_mergeable.py`` enforce both invariances.  (Caveat: beyond
 ``pool`` distinct items — default 2^20 — identification degrades to a
-uniform sample of identities; the linear table, and hence all frequency
-estimates, are unaffected.)
-
-Past the pool bound the default (``pool_policy="sample"``) retains a
-*uniform* sample of identities, so heavy hitters are evicted with the
-same probability as noise items and recall falls off a cliff once the
-distinct count exceeds ``pool`` (characterized in
-``benchmarks/bench_s5_adversarial.py``).  ``pool_policy =
-"evict-by-estimate"`` is the graceful-degradation fallback: overflow is
-cut back by evicting the candidates whose current |median estimate| is
-smallest, so items carrying real mass survive pathological cardinality.
-The price is order-sensitivity (eviction depends on the prefix seen), so
-this policy trades the bit-identical sharding guarantee for bounded
-memory *and* bounded accuracy loss; evicted items re-enter the pool on
-their next update, which makes the policy self-healing for late-rising
-heavy hitters.
+uniform sample of identities, so recall of heavy hitters falls off a
+cliff (``benchmarks/bench_s5_adversarial.py``); the linear table, and
+hence all frequency estimates, are unaffected.  ``pool`` is the lever:
+set it to at least the stream's distinct count.)
 """
 
 from __future__ import annotations
@@ -69,12 +57,6 @@ from repro.util.rng import RandomSource, as_source
 #: Default candidate-pool bound: large enough that realistic workloads keep
 #: every distinct item (exact identification), small enough to bound memory.
 DEFAULT_POOL = 1 << 20
-
-#: Overflow behavior past the pool bound: ``sample`` keeps a uniform,
-#: order-insensitive identity sample (bit-identical sharding); the
-#: ``evict-by-estimate`` fallback keeps the largest-|estimate| candidates
-#: (graceful accuracy degradation under pathological cardinality).
-POOL_POLICIES = ("sample", "evict-by-estimate")
 
 #: Bound on the per-item (bucket, sign) memo.  The memo is a pure cache —
 #: no semantic effect — but under all-distinct floods an uncapped memo is
@@ -112,17 +94,10 @@ class CountSketch(MergeableSketch):
         Independence of the sign hash; 4 matches the variance analysis, 2 is
         provided for the E12 ablation.
     pool:
-        Candidate-pool bound (default ``2^20``).  Identification is exact —
-        and sharded ingestion bit-identical to sequential — whenever the
-        stream has at most this many distinct items.
-    pool_policy:
-        Overflow behavior once the distinct count exceeds ``pool``:
-        ``"sample"`` (default) keeps the smallest-pool-hash identities — a
-        uniform, order-insensitive sample, preserving bit-identical
-        sharding but degrading recall to chance past the bound;
-        ``"evict-by-estimate"`` keeps the largest-|estimate| candidates —
-        heavy items survive pathological cardinality at the cost of
-        order-sensitive pool contents (see the module docstring).
+        Candidate-pool bound (default ``2^20``).  Identification is exact
+        whenever the stream has at most this many distinct items; past it
+        the pool is a uniform identity sample.  Sharded ingestion is
+        bit-identical to sequential either way.
     """
 
     def __init__(
@@ -133,23 +108,14 @@ class CountSketch(MergeableSketch):
         seed: int | RandomSource | None = None,
         sign_independence: int = 4,
         pool: int | None = None,
-        pool_policy: str = "sample",
     ):
         if rows < 1 or buckets < 1:
             raise ValueError("rows and buckets must be positive")
-        if pool_policy not in POOL_POLICIES:
-            raise ValueError(
-                f"pool_policy must be one of {POOL_POLICIES}, got {pool_policy!r}"
-            )
         source = as_source(seed, "countsketch")
         self.rows = int(rows)
         self.buckets = int(buckets)
         self.track = int(track)
         self.pool = max(int(pool) if pool is not None else DEFAULT_POOL, self.track)
-        self.pool_policy = str(pool_policy)
-        # Overflow slack before an evict-by-estimate prune: admissions are
-        # O(1) and the vectorized prune is amortized over ``slack`` items.
-        self._pool_slack = max(64, self.pool // 4)
         self._table = np.zeros((self.rows, self.buckets), dtype=np.float64)
         self._bucket_hashes = [
             KWiseHash(self.buckets, 2, source.child(f"bucket{j}"))
@@ -171,8 +137,8 @@ class CountSketch(MergeableSketch):
         self._pool_heap: List[tuple[int, int]] = []  # (-hash, -item) max-heap
         # Sorted snapshot of the pooled item ids, for one-pass vectorized
         # freshness checks in ``update_batch``.  ``None`` means stale; any
-        # mutation that can evict (scalar admits, prunes, merges, state
-        # loads) drops it, while pure bulk admissions extend it in place.
+        # mutation that can evict (scalar admits, merges, state loads)
+        # drops it, while pure bulk admissions extend it in place.
         self._cand_arr: "np.ndarray | None" = None
         self._register_mergeable(
             source,
@@ -181,7 +147,6 @@ class CountSketch(MergeableSketch):
             track=self.track,
             sign_independence=int(sign_independence),
             pool=self.pool,
-            pool_policy=self.pool_policy,
         )
 
     # ------------------------------------------------------------------ core
@@ -264,8 +229,8 @@ class CountSketch(MergeableSketch):
 
     def estimate_many(self, items: Sequence[int]) -> list[CountSketchEstimate]:
         """Public wrapper over :meth:`estimate_batch` that materializes
-        ``CountSketchEstimate`` records.  Hot paths (candidate scoring,
-        pool pruning, the verifier) call :meth:`estimate_batch` directly and
+        ``CountSketchEstimate`` records.  Hot paths (candidate scoring, the
+        verifier) call :meth:`estimate_batch` directly and
         never build the per-item dataclass list."""
         arr = np.asarray([int(i) for i in items], dtype=np.int64)
         if arr.shape[0] == 0:
@@ -331,25 +296,15 @@ class CountSketch(MergeableSketch):
     def _admit_batch(self, fresh: np.ndarray) -> None:
         """Admit a sorted array of items currently absent from the pool —
         the bulk tail of :meth:`update_batch`, shared with the fused ingest
-        plan.  Identical admissions (same items, same order) as replaying
-        the array through :meth:`_pool_admit`."""
+        plan."""
         if fresh.shape[0] == 0:
             return
         hashes = self._pool_hash.values_batch(fresh)
         candidates = self._candidates
         cand = self._cand_arr
         before = len(candidates)
-        if self.pool_policy == "evict-by-estimate":
-            # Bulk-admit then prune once: one vectorized eviction
-            # pass per chunk instead of one per overflow item.
-            candidates.update(zip(fresh.tolist(), hashes.tolist()))
-            if len(candidates) > self.pool + self._pool_slack:
-                self._cand_arr = None
-                self._prune_pool_by_estimate()
-                return
-        else:
-            for item, value in zip(fresh.tolist(), hashes.tolist()):
-                self._pool_admit(item, value)
+        for item, value in zip(fresh.tolist(), hashes.tolist()):
+            self._pool_admit(item, value)
         if cand is not None and len(candidates) == before + fresh.shape[0]:
             # Pure admissions (no evictions): extend the sorted membership
             # cache by one merge pass instead of dropping it.
@@ -358,18 +313,9 @@ class CountSketch(MergeableSketch):
             self._cand_arr = None
 
     def _pool_admit(self, item: int, value: int) -> None:
-        """Admit ``item`` (not currently pooled) under the active pool
-        policy: ``sample`` keeps the ``pool`` smallest (hash, item) pairs
-        ever seen; ``evict-by-estimate`` admits unconditionally and prunes
-        back to ``pool`` entries (keeping the largest current estimates)
-        once ``pool + slack`` is exceeded."""
+        """Admit ``item`` (not currently pooled), keeping the ``pool``
+        smallest (hash, item) pairs ever seen."""
         candidates = self._candidates
-        if self.pool_policy == "evict-by-estimate":
-            self._cand_arr = None
-            candidates[item] = value
-            if len(candidates) > self.pool + self._pool_slack:
-                self._prune_pool_by_estimate()
-            return
         if len(candidates) < self.pool:
             self._cand_arr = None
             candidates[item] = value
@@ -387,24 +333,6 @@ class CountSketch(MergeableSketch):
         self._pool_heap = [(-v, -i) for i, v in self._candidates.items()]
         heapq.heapify(self._pool_heap)
 
-    def _prune_pool_by_estimate(self) -> None:
-        """Cut the pool back to ``pool`` entries, keeping the candidates
-        whose current |median estimate| is largest (the evict-by-estimate
-        fallback).  Ties break deterministically by (pool-hash, item), so
-        the surviving set is a pure function of the sketch state at prune
-        time.  One vectorized estimation pass over the whole pool."""
-        if len(self._candidates) <= self.pool:
-            return
-        self._cand_arr = None
-        count = len(self._candidates)
-        items = np.fromiter(self._candidates.keys(), dtype=np.int64, count=count)
-        values = np.fromiter(self._candidates.values(), dtype=np.int64, count=count)
-        magnitudes = np.abs(self.estimate_batch(items))
-        order = np.lexsort((items, values, -magnitudes))[: self.pool]
-        self._candidates = dict(
-            zip(items[order].tolist(), values[order].tolist())
-        )
-
     def top_candidates(self, k: int | None = None) -> list[CountSketchEstimate]:
         """The top candidates, estimated against the final sketch and sorted
         by decreasing |estimate| (item id breaks ties, so the result is a
@@ -418,10 +346,6 @@ class CountSketch(MergeableSketch):
         limit = self.track if k is None else min(int(k), self.track)
         if limit <= 0 or not self._candidates:
             return []
-        if self.pool_policy == "evict-by-estimate":
-            # Canonicalize any overflow slack before reporting, so queries
-            # see the same pool a serialization or merge would.
-            self._prune_pool_by_estimate()
         items = np.fromiter(
             self._candidates.keys(), dtype=np.int64, count=len(self._candidates)
         )
@@ -470,21 +394,12 @@ class CountSketch(MergeableSketch):
         self.require_sibling(other)
         self._cand_arr = None
         self._table += other._table
-        if self.pool_policy == "evict-by-estimate":
-            # Union, then evict against the *merged* table: estimates at
-            # prune time see both streams' mass.
-            for item, value in other._candidates.items():
-                self._candidates.setdefault(item, value)
-            self._prune_pool_by_estimate()
-            return self
         for item, value in other._candidates.items():
             if item not in self._candidates:
                 self._pool_admit(item, value)
         return self
 
     def _state_payload(self) -> dict:
-        if self.pool_policy == "evict-by-estimate":
-            self._prune_pool_by_estimate()  # bound the shipped payload
         return {
             "table": encode_array(self._table),
             "candidates": encode_int_map(self._candidates),
@@ -494,10 +409,7 @@ class CountSketch(MergeableSketch):
         self._table = decode_array(payload["table"], self._table.shape)
         self._candidates = decode_int_map(payload["candidates"])
         self._cand_arr = None
-        if self.pool_policy == "evict-by-estimate":
-            self._pool_heap = []
-        else:
-            self._rebuild_pool_heap()
+        self._rebuild_pool_heap()
 
     @classmethod
     def for_heavy_hitters(
@@ -512,7 +424,6 @@ class CountSketch(MergeableSketch):
         max_rows: int = 7,
         max_track: int = 192,
         pool: int | None = None,
-        pool_policy: str = "sample",
     ) -> "CountSketch":
         """The paper's ``CountSketch(lambda, eps, delta)`` parameterization:
         ``O(1/(lambda eps^2))`` buckets, ``O(log(n/delta))`` rows, and a
@@ -520,8 +431,8 @@ class CountSketch(MergeableSketch):
 
         The ``max_*`` caps bound the constants for interactive Python runs;
         theory-faithful experiments raise them explicitly.  ``pool`` bounds
-        the candidate pool and ``pool_policy`` picks the overflow behavior
-        (see the class docstring) for memory-sensitive deployments.
+        the candidate pool (see the class docstring) for memory-sensitive
+        deployments.
         """
         if not 0 < heaviness <= 1:
             raise ValueError("heaviness must be in (0, 1]")
@@ -534,4 +445,4 @@ class CountSketch(MergeableSketch):
         rows = max(3, int(math.ceil(math.log(max(n, 2) / max(failure, 1e-9), 2))) | 1)
         rows = min(rows, max_rows | 1)
         track = min(max(4, int(math.ceil(4.0 / heaviness))), max_track)
-        return cls(rows, buckets, track, seed, sign_independence, pool, pool_policy)
+        return cls(rows, buckets, track, seed, sign_independence, pool)

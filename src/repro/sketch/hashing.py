@@ -19,8 +19,7 @@ agree bit for bit on every item.
 Mergeable-sketch support: hash families are immutable once constructed, so
 their part of the protocol is identity, not state — each family exposes a
 ``fingerprint()`` (the coefficients themselves) that sketches fold into
-their merge-compatibility digests, plus ``to_state()``/``from_state()``
-that round-trip the coefficients exactly, bypassing the RNG.
+their merge-compatibility digests.
 """
 
 from __future__ import annotations
@@ -29,12 +28,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.sketch.codec import (
-    decode_array,
-    decode_int_list,
-    encode_array,
-    encode_int_list,
-)
 from repro.util.rng import RandomSource, as_source
 
 MERSENNE_P = (1 << 61) - 1
@@ -92,30 +85,6 @@ class VectorKWiseHash:
     def fingerprint(self) -> tuple:
         """Identity of the family: every coefficient of every polynomial."""
         return ("vec", self.count, self.independence, self._coeffs.tobytes().hex())
-
-    def to_state(self) -> dict:
-        return {
-            "family": "VectorKWiseHash",
-            "count": self.count,
-            "independence": self.independence,
-            "coeffs": encode_array(self._coeffs),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "VectorKWiseHash":
-        if state.get("family") != "VectorKWiseHash":
-            raise ValueError("not a VectorKWiseHash state")
-        family = cls.__new__(cls)
-        family.count = int(state["count"])
-        family.independence = int(state["independence"])
-        coeffs = state["coeffs"]
-        # Pre-codec states carried the plain nested ``tolist()`` form.
-        family._coeffs = (
-            decode_array(coeffs).astype(np.uint64, copy=False)
-            if isinstance(coeffs, dict)
-            else np.asarray(coeffs, dtype=np.uint64)
-        )
-        return family
 
     def values(self, x: int) -> np.ndarray:
         """The ``count`` hash values of ``x`` in [0, 2^31 - 1)."""
@@ -249,24 +218,6 @@ class KWiseHash:
     def fingerprint(self) -> tuple:
         return ("kwise", self.range_size, self.independence, tuple(self._coeffs))
 
-    def to_state(self) -> dict:
-        return {
-            "family": "KWiseHash",
-            "range_size": self.range_size,
-            "independence": self.independence,
-            "coeffs": encode_int_list(self._coeffs),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KWiseHash":
-        if state.get("family") != "KWiseHash":
-            raise ValueError("not a KWiseHash state")
-        hash_fn = cls.__new__(cls)
-        hash_fn.range_size = int(state["range_size"])
-        hash_fn.independence = int(state["independence"])
-        hash_fn._coeffs = decode_int_list(state["coeffs"])
-        return hash_fn
-
     def __call__(self, x: int) -> int:
         acc = 0
         arg = (x + 1) % MERSENNE_P31
@@ -300,17 +251,6 @@ class SignHash:
 
     def fingerprint(self) -> tuple:
         return ("sign",) + self._hash.fingerprint()
-
-    def to_state(self) -> dict:
-        return {"family": "SignHash", "inner": self._hash.to_state()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SignHash":
-        if state.get("family") != "SignHash":
-            raise ValueError("not a SignHash state")
-        sign = cls.__new__(cls)
-        sign._hash = KWiseHash.from_state(state["inner"])
-        return sign
 
     def __call__(self, x: int) -> int:
         return 1 if self._hash(x) == 1 else -1
@@ -350,23 +290,6 @@ class SubsampleHash:
         return ("subsample", self.levels) + tuple(
             bit.fingerprint() for bit in self._bits
         )
-
-    def to_state(self) -> dict:
-        return {
-            "family": "SubsampleHash",
-            "levels": self.levels,
-            "bits": [bit.to_state() for bit in self._bits],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SubsampleHash":
-        if state.get("family") != "SubsampleHash":
-            raise ValueError("not a SubsampleHash state")
-        sub = cls.__new__(cls)
-        sub.levels = int(state["levels"])
-        sub._bits = [KWiseHash.from_state(s) for s in state["bits"]]
-        sub._level_cache = {}
-        return sub
 
     def bit_hashes(self) -> "list[KWiseHash]":
         """The per-level pairwise-independent bit hashes, shallow-copied for
@@ -434,17 +357,6 @@ class BernoulliHash:
 
     def fingerprint(self) -> tuple:
         return ("bernoulli",) + self._hash.fingerprint()
-
-    def to_state(self) -> dict:
-        return {"family": "BernoulliHash", "inner": self._hash.to_state()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BernoulliHash":
-        if state.get("family") != "BernoulliHash":
-            raise ValueError("not a BernoulliHash state")
-        bern = cls.__new__(cls)
-        bern._hash = KWiseHash.from_state(state["inner"])
-        return bern
 
     def __call__(self, x: int) -> int:
         return self._hash(x)

@@ -13,8 +13,8 @@ through ``drive``/``update_batch`` (any chunking) must leave the sketch
 state bit-for-bit identical — deltas are integers, every counter is a sum
 of integers far below 2^53, so float64 accumulation order cannot change
 the result; the hash families evaluate identically in scalar and batched
-form; and CountSketch candidate tracking replays the exact scalar
-estimate sequence via grouped prefix-sums.
+form; and the CountSketch candidate pool depends only on the set of items
+seen, so admitting a chunk's distinct items at once leaves the same pool.
 ``tests/test_batch_equivalence.py`` enforces this.
 """
 

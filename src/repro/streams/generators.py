@@ -385,10 +385,9 @@ def distinct_flood_stream(
     (at ``magnitude``), in random order.
 
     This is the pathological-cardinality workload for the CountSketch
-    candidate pool: with more distinct items than ``pool`` entries the
-    ``sample`` policy degrades identification to a uniform sample, and the
-    ``evict-by-estimate`` fallback must keep memory bounded (see
-    :class:`repro.sketch.countsketch.CountSketch`).
+    candidate pool: with more distinct items than ``pool`` entries
+    identification degrades to a uniform sample while memory stays bounded
+    at ``pool`` candidates (see :class:`repro.sketch.countsketch.CountSketch`).
     """
     source = as_source(seed, "distinct_flood")
     ids = np.arange(n)

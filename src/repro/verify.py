@@ -176,7 +176,6 @@ def verify_countsketch(
     factor: float = 3.0,
     delta: float = 0.05,
     seed: int | RandomSource | None = 0,
-    pool_policy: str = "sample",
 ) -> GuaranteeReport:
     """Check the CountSketch point-query bound across fresh hash seeds.
 
@@ -194,12 +193,7 @@ def verify_countsketch(
         bound = np.finfo(np.float64).tiny
     normalized = np.empty((seeds, probe.shape[0]), dtype=np.float64)
     for trial in range(seeds):
-        sketch = CountSketch(
-            rows,
-            buckets,
-            seed=source.child(f"trial{trial}"),
-            pool_policy=pool_policy,
-        )
+        sketch = CountSketch(rows, buckets, seed=source.child(f"trial{trial}"))
         sketch.update_batch(unique, net)
         estimates = sketch.estimate_batch(probe)
         normalized[trial] = np.abs(estimates - truth) / bound
@@ -259,8 +253,7 @@ def verify_gsum(
     One sample per seed: ``|estimate - g_sum| / (epsilon * g_sum)``, so a
     normalized error above 1 is a trial where the advertised relative
     error was exceeded.  ``estimator_kwargs`` flow into
-    :class:`~repro.core.gsum.GSumEstimator` (e.g. ``passes=2``,
-    ``cs_pool_policy="evict-by-estimate"``)."""
+    :class:`~repro.core.gsum.GSumEstimator` (e.g. ``passes=2``)."""
     source = as_source(seed, "verify_gsum")
     truth = exact_gsum(stream, g)
     if truth == 0.0:

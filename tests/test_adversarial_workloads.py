@@ -104,10 +104,9 @@ def test_distinct_flood_hits_every_item_once():
 
 def test_distinct_flood_overflows_pool_with_bounded_memory():
     flood = distinct_flood_stream(4096, seed=2)
-    for policy in ("sample", "evict-by-estimate"):
-        sketch = CountSketch(3, 64, track=8, seed=9, pool=256, pool_policy=policy)
-        sketch.process(flood)
-        assert len(sketch._candidates) <= sketch.pool + sketch._pool_slack
+    sketch = CountSketch(3, 64, track=8, seed=9, pool=256)
+    sketch.process(flood)
+    assert len(sketch._candidates) <= sketch.pool
 
 
 # ------------------------------------------------------ collision seeking
@@ -187,7 +186,7 @@ def test_adaptive_adversary_pollutes_the_candidate_pool():
 def test_adaptive_adversary_memory_stays_bounded():
     victim = CountSketch(5, 128, track=8, seed=3, pool=64)
     adaptive_adversarial_stream(1 << 13, victim, rounds=4, batch=64, seed=4)
-    assert len(victim._candidates) <= victim.pool + victim._pool_slack
+    assert len(victim._candidates) <= victim.pool
 
 
 def test_adaptive_adversary_interleaves_deletions():

@@ -191,39 +191,36 @@ class TestSignIndependence:
 
 
 class TestPoolPolicies:
-    """The bounded-pool fallback (ISSUE 8): past the pool bound, the
-    default ``sample`` policy keeps an order-insensitive uniform identity
-    sample (identification degrades to chance), while
-    ``evict-by-estimate`` keeps the largest-estimate candidates (graceful
-    accuracy, order-sensitive)."""
+    """The candidate pool has one rule: keep the ``pool`` smallest
+    (pool-hash, item) pairs ever seen.  Below the bound it holds every
+    distinct item; past it, an order-insensitive uniform identity sample
+    in bounded memory.  No option selects another rule."""
 
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            CountSketch(3, 64, track=4, seed=1, pool_policy="lru")
+        """Every option that once picked a pool policy is gone."""
+        from repro.core.gsum import GSumEstimator
+        from repro.core.heavy_hitters import OnePassGHeavyHitter, TwoPassGHeavyHitter
+        from repro.functions.library import moment
+        from repro.verify import verify_countsketch
 
-    def test_evict_policy_keeps_heavy_hitter_under_flood(self):
-        from repro.streams.generators import distinct_flood_stream
-
-        heavy, heavy_mass, n = 4999, 5000, 5000
-        flood = distinct_flood_stream(n, seed=3)
-        kept = {}
-        for policy in ("sample", "evict-by-estimate"):
-            cs = CountSketch(5, 256, track=8, seed=9, pool=64, pool_policy=policy)
-            cs.update(heavy, heavy_mass)
-            cs.process(flood)
-            kept[policy] = heavy in [e.item for e in cs.top_candidates()]
-        # The flood floods the sample pool (heavy survives only if its
-        # pool-hash happens to be tiny); eviction by estimate retains it.
-        assert kept["evict-by-estimate"]
-
-    def test_evict_policy_memory_stays_bounded(self):
-        import numpy as np
-
-        cs = CountSketch(3, 64, track=4, seed=2, pool=128,
-                         pool_policy="evict-by-estimate")
-        items = np.arange(50_000, dtype=np.int64)
-        cs.update_batch(items, np.ones_like(items))
-        assert len(cs._candidates) <= cs.pool + cs._pool_slack
+        g = moment(2.0)
+        removed = [
+            lambda: CountSketch(3, 64, track=4, seed=1, pool_policy="sample"),
+            lambda: CountSketch.for_heavy_hitters(
+                0.1, 0.5, 0.1, 64, seed=1, pool_policy="sample"
+            ),
+            lambda: OnePassGHeavyHitter(
+                g, 0.1, 0.5, 0.1, 64, seed=1, cs_pool_policy="sample"
+            ),
+            lambda: TwoPassGHeavyHitter(g, 0.1, 0.1, 64, seed=1, cs_pool_policy="sample"),
+            lambda: GSumEstimator(g, 64, seed=1, cs_pool_policy="sample"),
+            lambda: verify_countsketch(
+                _freq_stream({1: 3}), "one-item", seeds=1, pool_policy="sample"
+            ),
+        ]
+        for build in removed:
+            with pytest.raises(TypeError, match="unexpected keyword argument '(cs_)?pool_policy'"):
+                build()
 
     def test_sample_policy_memory_stays_bounded(self):
         import numpy as np
@@ -241,48 +238,6 @@ class TestPoolPolicies:
             cs.update(item, 1)
         assert len(cs._item_cache) <= min(1000, ITEM_CACHE_LIMIT)
         assert ITEM_CACHE_LIMIT <= 1 << 20
-
-    def test_evict_policy_merge_matches_single_sketch_ranking(self):
-        import numpy as np
-
-        def load(cs, lo, hi, mass):
-            items = np.arange(lo, hi, dtype=np.int64)
-            deltas = np.full(items.shape[0], 1, dtype=np.int64)
-            deltas[: (hi - lo) // 10] = mass
-            cs.update_batch(items, deltas)
-
-        single = CountSketch(3, 64, track=4, seed=5, pool=16,
-                             pool_policy="evict-by-estimate")
-        load(single, 0, 200, 50)
-        load(single, 200, 400, 50)
-        left = CountSketch(3, 64, track=4, seed=5, pool=16,
-                           pool_policy="evict-by-estimate")
-        load(left, 0, 200, 50)
-        right = left.spawn_sibling()
-        load(right, 200, 400, 50)
-        left.merge(right)
-        assert np.array_equal(left._table, single._table)
-        # Pool membership is order-sensitive under eviction, but both
-        # pools are pruned against the same merged table, so the shared
-        # survivors agree on their estimates and neither exceeds the cap.
-        assert len(left._candidates) <= left.pool + left._pool_slack
-
-    def test_evict_policy_state_roundtrip(self):
-        import numpy as np
-
-        cs = CountSketch(3, 64, track=4, seed=6, pool=16,
-                         pool_policy="evict-by-estimate")
-        items = np.arange(500, dtype=np.int64)
-        cs.update_batch(items, np.ones_like(items))
-        revived = cs.spawn_sibling().from_state(cs.to_state(codec="sparse-binary"))
-        assert np.array_equal(revived._table, cs._table)
-        assert revived.top_candidates() == cs.top_candidates()
-
-    def test_policy_mismatch_refuses_merge(self):
-        a = CountSketch(3, 64, track=4, seed=7, pool_policy="sample")
-        b = CountSketch(3, 64, track=4, seed=7, pool_policy="evict-by-estimate")
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestNegativeEstimates:

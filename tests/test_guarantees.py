@@ -109,13 +109,6 @@ def test_countsketch_bound_holds_on_distinct_flood():
     assert report.holds, report.to_row()
 
 
-def test_countsketch_bound_holds_under_evict_policy(zipf_1024):
-    report = verify_countsketch(
-        zipf_1024, "zipf-1.1", seeds=10, seed=5, pool_policy="evict-by-estimate"
-    )
-    assert report.holds, report.to_row()
-
-
 def test_gsum_contract_holds_quick(zipf_1024):
     report = verify_gsum(zipf_1024, moment(2.0), "zipf-1.1", seeds=5, seed=5)
     assert report.holds, report.to_row()

@@ -389,50 +389,6 @@ class TestDigestStrictness:
 
 
 class TestHashFamilyState:
-    def test_kwise_round_trip(self):
-        from repro.sketch.hashing import KWiseHash
-
-        h = KWiseHash(128, 4, seed=3)
-        clone = KWiseHash.from_state(h.to_state())
-        xs = np.arange(0, 500, 3, dtype=np.int64)
-        assert np.array_equal(clone.values_batch(xs), h.values_batch(xs))
-        assert clone.fingerprint() == h.fingerprint()
-
-    def test_sign_and_subsample_round_trip(self):
-        from repro.sketch.hashing import SignHash, SubsampleHash
-
-        s = SignHash(4, seed=3)
-        s2 = SignHash.from_state(s.to_state())
-        xs = np.arange(0, 500, 3, dtype=np.int64)
-        assert np.array_equal(s2.values_batch(xs), s.values_batch(xs))
-        sub = SubsampleHash(8, seed=3)
-        sub2 = SubsampleHash.from_state(sub.to_state())
-        assert np.array_equal(sub2.levels_batch(xs), sub.levels_batch(xs))
-
-    def test_vector_round_trip(self):
-        from repro.sketch.hashing import VectorKWiseHash
-
-        v = VectorKWiseHash(24, 4, seed=3)
-        v2 = VectorKWiseHash.from_state(v.to_state())
-        xs = np.arange(0, 200, 3, dtype=np.int64)
-        assert np.array_equal(v2.values_batch(xs), v.values_batch(xs))
-
-    def test_pre_codec_states_still_load(self):
-        """Hash-family states written before the codec layer carried the
-        plain ``tolist()`` forms; they must keep loading."""
-        from repro.sketch.hashing import KWiseHash, VectorKWiseHash
-
-        h = KWiseHash(128, 4, seed=3)
-        legacy = dict(h.to_state(), coeffs=list(h._coeffs))
-        assert KWiseHash.from_state(legacy).fingerprint() == h.fingerprint()
-        v = VectorKWiseHash(24, 4, seed=3)
-        legacy_v = dict(v.to_state(), coeffs=v._coeffs.tolist())
-        xs = np.arange(0, 200, 3, dtype=np.int64)
-        assert np.array_equal(
-            VectorKWiseHash.from_state(legacy_v).values_batch(xs),
-            v.values_batch(xs),
-        )
-
     def test_pre_codec_sketch_states_still_load(self):
         """A ``to_state()`` dict written before the codec layer — no
         ``"codec"`` tag, plain ``__ndarray__`` arrays and pair-list maps —

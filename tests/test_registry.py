@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.gsum import GSumEstimator
 from repro.distributed import distributed_ingest
+from repro.distributed.specs import build_sketch
 from repro.functions.base import GFunction
 from repro.functions.library import catalog, linear, moment
 from repro.functions.random_g import (
@@ -145,6 +146,34 @@ class TestProcessModeEstimator:
         clone = pickle.loads(pickle.dumps(est))
         assert clone.estimate() == est.estimate()
         assert dumps_state(clone.to_state()) == dumps_state(est.to_state())
+
+    def test_two_pass_pickle_round_trip_through_both_passes(self):
+        est = self._estimator(moment(2.0), passes=2)
+        est.process(self.STREAM)
+        clone = pickle.loads(pickle.dumps(est))
+        assert dumps_state(clone.to_state()) == dumps_state(est.to_state())
+        est.begin_second_pass()
+        est.update_batch_second_pass(*self.STREAM.as_arrays())
+        clone = pickle.loads(pickle.dumps(est))
+        assert clone.estimate() == est.estimate()
+        assert dumps_state(clone.to_state()) == dumps_state(est.to_state())
+
+    def test_empty_two_pass_sibling_pickles_small(self):
+        """A distributed worker receives an empty sibling; its pickle
+        carries the sparse state, not the dense tables (~1.4 MB dense)."""
+        sibling = build_sketch(
+            {
+                "kind": "gsum",
+                "function": "(2+sin x)x^2",
+                "n": 1 << 10,
+                "epsilon": 0.25,
+                "passes": 2,
+                "heaviness": 0.05,
+                "repetitions": 1,
+                "seed": 7,
+            }
+        ).spawn_sibling()
+        assert len(pickle.dumps(sibling)) < 16 * 1024
 
     @pytest.mark.parametrize("g_text", ("x^2", "x**1.5"))
     def test_process_workers_equal_sequential(self, g_text):
