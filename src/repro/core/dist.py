@@ -238,6 +238,9 @@ class DistDetector(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self._router.fingerprint(), self._signs.fingerprint())
 
+    def _fresh_state(self) -> None:
+        self._counters = np.zeros(self.pieces, dtype=np.int64)
+
     def merge(self, other: "DistDetector") -> "DistDetector":
         """Linearity: signed piece counters add."""
         self.require_sibling(other)

@@ -144,6 +144,18 @@ class _Substream:
             c + int(a) for c, a in zip(self.bit_counters, bit_add.tolist())
         ]
 
+    def fresh(self) -> "_Substream":
+        """A copy sharing this substream's trial hashes, with zeroed
+        counters and its own membership memo."""
+        sub = object.__new__(_Substream)
+        sub.__dict__.update(self.__dict__)
+        sub.trial_counters = [0] * self.trials
+        sub.bit_counters = [0] * self.n_bits
+        sub.total = 0
+        sub.weight = 0
+        sub._membership_cache = {}
+        return sub
+
     def state_payload(self) -> dict:
         return {
             "trial_counters": encode_int_list(self.trial_counters),
@@ -311,6 +323,9 @@ class GnpHeavyHitterSketch(MergeableSketch):
 
     def _extra_compat(self) -> tuple:
         return (self._router.fingerprint(),)
+
+    def _fresh_state(self) -> None:
+        self._substreams = [sub.fresh() for sub in self._substreams]
 
     def merge(self, other: "GnpHeavyHitterSketch") -> "GnpHeavyHitterSketch":
         """Linearity: every substream counter adds (the Bernoulli trials

@@ -125,28 +125,33 @@ class GSumEstimator(MergeableSketch):
         if shards < 1:
             raise ValueError("shards must be positive")
         source = as_source(seed, "gsum")
-        self.g = g
-        self.n = int(n)
-        self.epsilon = float(epsilon)
-        self.passes = passes
-        self.repetitions = int(repetitions)
-        self.heaviness = (
+        heaviness = (
             max(theory_heaviness(epsilon, n), min_heaviness)
             if heaviness is None
             else float(heaviness)
         )
+        n = int(n)
+        self.g = g
+        self.n = n
+        self.epsilon = float(epsilon)
+        self.passes = passes
+        self.repetitions = int(repetitions)
+        self.heaviness = heaviness
         failure = 0.1
 
+        # The factory closes over locals, never ``self``: it is stored in
+        # every repetition's config, and a reference back to the estimator
+        # would put each estimator in a cycle only the cyclic GC frees.
         def factory(level: int, rng: RandomSource):
             if passes == 0:
-                return ExactHeavyHitter(g, self.n, heaviness=0.0)
+                return ExactHeavyHitter(g, n, heaviness=0.0)
             if passes == 1:
                 return OnePassGHeavyHitter(
                     g,
-                    self.heaviness,
+                    heaviness,
                     epsilon,
                     failure,
-                    self.n,
+                    n,
                     h_witness=h_witness,
                     magnitude_bound=magnitude_bound,
                     prune=prune,
@@ -157,9 +162,9 @@ class GSumEstimator(MergeableSketch):
                 )
             return TwoPassGHeavyHitter(
                 g,
-                self.heaviness,
+                heaviness,
                 failure,
-                self.n,
+                n,
                 h_witness=h_witness,
                 magnitude_bound=magnitude_bound,
                 seed=rng,
@@ -170,7 +175,7 @@ class GSumEstimator(MergeableSketch):
 
         self._sketches: List[RecursiveGSumSketch] = [
             RecursiveGSumSketch(
-                g, self.n, factory, levels=levels, seed=source.child(f"rep{r}")
+                g, n, factory, levels=levels, seed=source.child(f"rep{r}")
             )
             for r in range(self.repetitions)
         ]
@@ -335,13 +340,11 @@ class GSumEstimator(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return tuple(s.compat_digest() for s in self._sketches)
 
-    def spawn_sibling(self) -> "GSumEstimator":
-        """Sibling estimator with identical randomness; repetitions are
-        spawned individually so two-pass phase carries over."""
-        sibling = super().spawn_sibling()
-        sibling._sketches = [s.spawn_sibling() for s in self._sketches]
-        sibling._invalidate_ingest_plans()
-        return sibling
+    def _fresh_state(self) -> None:
+        """Repetitions are spawned individually so two-pass phase carries
+        over; the copy starts with no ingest plan."""
+        self._sketches = [s.spawn_sibling() for s in self._sketches]
+        self._invalidate_ingest_plans()
 
     def merge(self, other: "GSumEstimator") -> "GSumEstimator":
         """Merge repetition by repetition; the merged estimator is
@@ -359,10 +362,8 @@ class GSumEstimator(MergeableSketch):
         states = payload["reps"]
         if len(states) != len(self._sketches):
             raise ValueError("state repetition count mismatch")
-        self._sketches = [
-            sketch.from_state(state)
-            for sketch, state in zip(self._sketches, states)
-        ]
+        for sketch, state in zip(self._sketches, states):
+            sketch._load_state(state)
         self._invalidate_ingest_plans()
 
     # --------------------------------------------------------- convenience
@@ -391,9 +392,10 @@ class GSumEstimator(MergeableSketch):
 
 def _rebuild_estimator(cls, config, lineage, shard_opts, state):
     """Unpickling counterpart of :meth:`GSumEstimator.__reduce__`: re-run
-    the constructor on the recorded configuration and exact randomness
+    the constructor once on the recorded configuration and exact randomness
     lineage (identical hash functions), then load the serialized mutable
-    state — including any open second pass — in place."""
+    state — including any open second pass — in place, through the same
+    checks as :meth:`~repro.sketch.base.MergeableSketch.from_state`."""
     config = dict(config)
     if lineage is not None:
         config["seed"] = RandomSource.resolved(*lineage)
@@ -402,12 +404,7 @@ def _rebuild_estimator(cls, config, lineage, shard_opts, state):
     # and ingest path gave the same bits, and thread-pool slab sharding
     # plus the fused plane are all that remain.
     estimator = cls(**config, shards=shard_opts[0])
-    if state.get("compat") != estimator.compat_digest():
-        raise ValueError(
-            "pickled estimator state does not match its rebuilt "
-            "configuration or randomness lineage"
-        )
-    estimator._load_state_payload(state["payload"])
+    estimator._load_state(state)
     return estimator
 
 

@@ -230,6 +230,10 @@ class OnePassGHeavyHitter(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self._countsketch.compat_digest(), self._ams.compat_digest())
 
+    def _fresh_state(self) -> None:
+        self._countsketch = self._countsketch.spawn_sibling()
+        self._ams = self._ams.spawn_sibling()
+
     def merge(self, other: "OnePassGHeavyHitter") -> "OnePassGHeavyHitter":
         """Merge both constituent linear sketches."""
         self.require_sibling(other)
@@ -244,8 +248,8 @@ class OnePassGHeavyHitter(MergeableSketch):
         }
 
     def _load_state_payload(self, payload: dict) -> None:
-        self._countsketch = self._countsketch.from_state(payload["countsketch"])
-        self._ams = self._ams.from_state(payload["ams"])
+        self._countsketch._load_state(payload["countsketch"])
+        self._ams._load_state(payload["ams"])
 
 
 class TwoPassGHeavyHitter(MergeableSketch):
@@ -426,15 +430,12 @@ class TwoPassGHeavyHitter(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self._countsketch.compat_digest(),)
 
-    def spawn_sibling(self) -> "TwoPassGHeavyHitter":
+    def _fresh_state(self) -> None:
         """Siblings clone *phase*: spawning from a sketch whose second pass
         has begun yields a sibling tabulating the same candidate set."""
-        sibling = super().spawn_sibling()
+        self._countsketch = self._countsketch.spawn_sibling()
         if self._second is not None:
-            sibling._second = ExactCounter(
-                self._n, restrict_to=self._restrict_list()
-            )
-        return sibling
+            self._second = self._second.spawn_sibling()
 
     def merge(self, other: "TwoPassGHeavyHitter") -> "TwoPassGHeavyHitter":
         """Merge within a pass: first-pass sketches merge their CountSketch;
@@ -457,12 +458,13 @@ class TwoPassGHeavyHitter(MergeableSketch):
         }
 
     def _load_state_payload(self, payload: dict) -> None:
-        self._countsketch = self._countsketch.from_state(payload["countsketch"])
+        self._countsketch._load_state(payload["countsketch"])
         if payload["second"] is None:
             self._second = None
         else:
-            template = ExactCounter(self._n, restrict_to=payload["restrict"])
-            self._second = template.from_state(payload["second"])
+            second = ExactCounter(self._n, restrict_to=payload["restrict"])
+            second._load_state(payload["second"])
+            self._second = second
 
 
 class ExactHeavyHitter(MergeableSketch):
@@ -506,6 +508,9 @@ class ExactHeavyHitter(MergeableSketch):
 
     # ------------------------------------------------- mergeable protocol
 
+    def _fresh_state(self) -> None:
+        self._counter = self._counter.spawn_sibling()
+
     def merge(self, other: "ExactHeavyHitter") -> "ExactHeavyHitter":
         self.require_sibling(other)
         self._counter.merge(other._counter)
@@ -515,7 +520,7 @@ class ExactHeavyHitter(MergeableSketch):
         return {"counter": self._counter.to_state()}
 
     def _load_state_payload(self, payload: dict) -> None:
-        self._counter = self._counter.from_state(payload["counter"])
+        self._counter._load_state(payload["counter"])
 
 
 def theory_heaviness(epsilon: float, n: int) -> float:

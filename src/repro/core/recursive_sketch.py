@@ -123,8 +123,9 @@ class RecursiveGSumSketch(MergeableSketch):
         ingest plan (:mod:`repro.core.ingest_plan`) flattens: depths come
         from the subsample hash's stacked bit polynomials and each level
         sketch contributes one plane cell.  The returned list is the live
-        one; the plan snapshots the object identities to detect structural
-        changes (state loads replace the level sketches wholesale)."""
+        one; the plan snapshots the object identities and table bases to
+        detect structural changes (state loads rebind the level sketches'
+        tables in place)."""
         return self._subsample, self._sketches
 
     def process(
@@ -245,14 +246,12 @@ class RecursiveGSumSketch(MergeableSketch):
             sketch.compat_digest() for sketch in self._require_mergeable_levels()
         )
 
-    def spawn_sibling(self) -> "RecursiveGSumSketch":
-        """Sibling with identical subsampling and per-level sketches; level
-        sketches are spawned individually so phase (e.g. an open second
-        pass) carries over."""
-        levels = self._require_mergeable_levels()
-        sibling = super().spawn_sibling()
-        sibling._sketches = [sketch.spawn_sibling() for sketch in levels]
-        return sibling
+    def _fresh_state(self) -> None:
+        """Share the subsampling hash; spawn each level sketch so phase
+        (e.g. an open second pass) carries over."""
+        self._sketches = [
+            sketch.spawn_sibling() for sketch in self._require_mergeable_levels()
+        ]
 
     def merge(self, other: "RecursiveGSumSketch") -> "RecursiveGSumSketch":
         """Merge level by level (the subsampling hash is identical for
@@ -272,9 +271,8 @@ class RecursiveGSumSketch(MergeableSketch):
         levels = self._require_mergeable_levels()
         if len(states) != len(levels):
             raise ValueError("state level count mismatch")
-        self._sketches = [
-            sketch.from_state(state) for sketch, state in zip(levels, states)
-        ]
+        for sketch, state in zip(levels, states):
+            sketch._load_state(state)
 
 
 class NaiveTopKGSum(MergeableSketch):
@@ -325,8 +323,8 @@ class NaiveTopKGSum(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self._inner().compat_digest(),)
 
-    def spawn_sibling(self) -> "NaiveTopKGSum":
-        return NaiveTopKGSum(self.g, self._inner().spawn_sibling())
+    def _fresh_state(self) -> None:
+        self._sketch = self._inner().spawn_sibling()
 
     def merge(self, other: "NaiveTopKGSum") -> "NaiveTopKGSum":
         self.require_sibling(other)
@@ -337,7 +335,7 @@ class NaiveTopKGSum(MergeableSketch):
         return {"sketch": self._inner().to_state()}
 
     def _load_state_payload(self, payload: dict) -> None:
-        self._sketch = self._inner().from_state(payload["sketch"])
+        self._inner()._load_state(payload["sketch"])
 
 
 def two_pass_run(

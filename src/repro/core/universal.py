@@ -87,8 +87,8 @@ class _FrequencyLevel(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self.inner.compat_digest(),)
 
-    def spawn_sibling(self) -> "_FrequencyLevel":
-        return _FrequencyLevel(self.inner.spawn_sibling())
+    def _fresh_state(self) -> None:
+        self.inner = self.inner.spawn_sibling()
 
     def merge(self, other: "_FrequencyLevel") -> "_FrequencyLevel":
         self.require_sibling(other)
@@ -99,7 +99,7 @@ class _FrequencyLevel(MergeableSketch):
         return {"inner": self.inner.to_state()}
 
     def _load_state_payload(self, payload: dict) -> None:
-        self.inner = self.inner.from_state(payload["inner"])
+        self.inner._load_state(payload["inner"])
 
 
 class UniversalGSumSketch(MergeableSketch):
@@ -297,11 +297,9 @@ class UniversalGSumSketch(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return tuple(s.compat_digest() for s in self._sketches)
 
-    def spawn_sibling(self) -> "UniversalGSumSketch":
-        sibling = super().spawn_sibling()
-        sibling._sketches = [s.spawn_sibling() for s in self._sketches]
-        sibling._invalidate_ingest_plans()
-        return sibling
+    def _fresh_state(self) -> None:
+        self._sketches = [s.spawn_sibling() for s in self._sketches]
+        self._invalidate_ingest_plans()
 
     def merge(self, other: "UniversalGSumSketch") -> "UniversalGSumSketch":
         """Merge repetition by repetition."""
@@ -318,10 +316,8 @@ class UniversalGSumSketch(MergeableSketch):
         states = payload["reps"]
         if len(states) != len(self._sketches):
             raise ValueError("state repetition count mismatch")
-        self._sketches = [
-            sketch.from_state(state)
-            for sketch, state in zip(self._sketches, states)
-        ]
+        for sketch, state in zip(self._sketches, states):
+            sketch._load_state(state)
         self._invalidate_ingest_plans()
 
 
@@ -372,8 +368,8 @@ class _TwoPassFrequencyLevel(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self.inner.compat_digest(),)
 
-    def spawn_sibling(self) -> "_TwoPassFrequencyLevel":
-        return _TwoPassFrequencyLevel(self.inner.spawn_sibling())
+    def _fresh_state(self) -> None:
+        self.inner = self.inner.spawn_sibling()
 
     def merge(self, other: "_TwoPassFrequencyLevel") -> "_TwoPassFrequencyLevel":
         self.require_sibling(other)
@@ -384,7 +380,7 @@ class _TwoPassFrequencyLevel(MergeableSketch):
         return {"inner": self.inner.to_state()}
 
     def _load_state_payload(self, payload: dict) -> None:
-        self.inner = self.inner.from_state(payload["inner"])
+        self.inner._load_state(payload["inner"])
 
 
 class TwoPassUniversalSketch(UniversalGSumSketch):

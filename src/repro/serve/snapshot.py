@@ -9,7 +9,9 @@ The concurrency model is writer-locked, reader-lock-free:
   :class:`SketchSnapshot`: the live state is *encoded* under the lock (the
   cheap part — ``sparse-binary`` states are ~21x smaller than dense JSON)
   and *decoded* into an independent frozen sibling outside it, so ingestion
-  stalls only for the serialization, never for the rebuild.
+  stalls only for the serialization, never for the decode.  The sibling
+  shares the live sketch's immutable hash families and none of its
+  mutable state.
 * Readers hold a reference to a published snapshot and query it with plain
   attribute reads — no lock, no torn tables.  A snapshot is forever
   consistent with the epoch stamped on it; freshness is the caller's
@@ -29,8 +31,9 @@ from repro.sketch.base import MergeableSketch
 class SketchSnapshot:
     """An immutable (by convention: never mutate ``sketch``) view of the
     live sketch as of ``epoch``.  The sketch is an independent sibling —
-    it shares no mutable state with the live one, so concurrent ingestion
-    cannot tear it."""
+    it shares the live one's immutable hash families but no mutable state
+    (tables, pools, counters, memos), so concurrent ingestion cannot tear
+    it."""
 
     __slots__ = ("epoch", "sketch")
 
@@ -48,7 +51,10 @@ class SnapshotStore:
     ``live`` is the sketch being ingested into (any
     :class:`MergeableSketch`).  Snapshots round-trip it through the
     ``sparse-binary`` codec, which keeps their cost proportional to the
-    *occupied* state, not the table dimensions.
+    *occupied* state, not the table dimensions.  The decode spawns one
+    sibling of the live sketch and loads the state into it in place: the
+    snapshot shares the live sketch's immutable hash families and none of
+    its mutable state, and builds no hash family.
     """
 
     def __init__(self, live: MergeableSketch):

@@ -105,6 +105,10 @@ class AmsF2Sketch(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self._signs.fingerprint(),)
 
+    def _fresh_state(self) -> None:
+        self._registers = np.zeros(self._registers.shape[0], dtype=np.float64)
+        self._sign_cache = {}
+
     def merge(self, other: "AmsF2Sketch") -> "AmsF2Sketch":
         """Linearity: registers add, so merging sibling sketches of two
         streams sketches their concatenation."""

@@ -10,25 +10,34 @@ sketches, the Recursive Sketch, the universal sketches, and the top-level
 
 ``spawn_sibling()``
     A fresh, empty sketch with identical configuration *and identical hash
-    functions*.  The labeled :class:`~repro.util.rng.RandomSource` guarantees
-    same ``(seed, label)`` lineage -> same polynomials, so siblings are
-    merge-compatible by construction.  Siblings also clone *phase*: spawning
-    from a two-pass sketch that has begun its second pass yields a sibling
-    in its second pass, restricted to the same candidates.
+    functions*.  A sibling is a shallow copy: it shares the source's
+    immutable members — hash families, ``g``, the configuration dict and
+    the cached compat digest — and each class's :meth:`_fresh_state` hook
+    gives it its own empty tables, registers, pools, memos and counters
+    (composites spawn their children).  No constructor runs and no hash
+    family is re-derived.  Siblings also clone *phase*: spawning from a
+    two-pass sketch that has begun its second pass yields a sibling in its
+    second pass, restricted to the same candidates.
 
 ``merge(other)``
     Fold a sibling's state into ``self`` (tables add, registers add, counts
     add, candidate pools union).  Raises ``ValueError`` unless the two
     sketches share a :meth:`~MergeableSketch.compat_digest` — configuration,
     randomness lineage, and (for the raw sketches) the hash-function
-    fingerprints themselves.
+    fingerprints themselves.  The digest is computed once per sketch and
+    inherited by its siblings: configuration, lineage and families never
+    change after construction.
 
 ``to_state()`` / ``from_state(state)``
     Round-trip serialization of the *mutable* state (never the hash
     functions — those are reproducible from the lineage).  The state dict is
     JSON-serializable, so shard workers in other processes or on other
     machines can ship states back to a coordinator holding a sibling.
-    ``sketch.from_state(sketch.to_state())`` reconstructs an equal sketch.
+    ``sketch.from_state(sketch.to_state())`` reconstructs an equal sketch:
+    it spawns one sibling and loads the state into it in place, checking
+    format, version, codec, class and compat digest before decoding
+    anything; composites load each nested state into their own children
+    through the same checks (:meth:`~MergeableSketch._load_state`).
 
 The invariance contract (enforced by ``tests/test_mergeable.py``): for any
 stream split into k shard substreams, ingesting each shard into a sibling
@@ -123,13 +132,14 @@ class MergeableSketch(ABC):
     Subclasses call :meth:`_register_mergeable` at the end of ``__init__``
     with the resolved :class:`RandomSource` (or ``None`` for deterministic
     structures) and the constructor configuration, then implement
-    :meth:`merge`, :meth:`_state_payload`, and :meth:`_load_state_payload`.
-    The default :meth:`spawn_sibling` re-invokes the constructor with the
-    recorded configuration and the exact randomness lineage.
+    :meth:`merge`, :meth:`_state_payload`, :meth:`_load_state_payload`, and
+    :meth:`_fresh_state` (what :meth:`spawn_sibling` needs to give a
+    shallow copy its own empty mutable state).
     """
 
     _merge_config: Dict[str, Any]
     _merge_lineage: Tuple[int, str] | None
+    _compat_digest: str | None
 
     # ------------------------------------------------------------- registry
 
@@ -138,16 +148,30 @@ class MergeableSketch(ABC):
     ) -> None:
         self._merge_config = dict(config)
         self._merge_lineage = None if source is None else source.lineage
+        self._compat_digest = None
 
     # ----------------------------------------------------------- protocol
 
     def spawn_sibling(self) -> "MergeableSketch":
-        """A fresh, empty, merge-compatible sketch: same configuration, same
-        hash functions (reconstructed from the randomness lineage)."""
-        config = dict(self._merge_config)
-        if self._merge_lineage is not None:
-            config["seed"] = RandomSource.resolved(*self._merge_lineage)
-        return type(self)(**config)
+        """A fresh, empty, merge-compatible sketch: a shallow copy sharing
+        this sketch's hash families, configuration and compat digest, given
+        its own empty mutable state by :meth:`_fresh_state`."""
+        self.compat_digest()  # cached here, so every sibling inherits it
+        sibling = object.__new__(type(self))
+        sibling.__dict__.update(self.__dict__)
+        sibling._fresh_state()
+        return sibling
+
+    def _fresh_state(self) -> None:
+        """Replace every mutable member of this shallow copy (each still
+        aliases the source's) with a fresh empty one: tables, registers,
+        pools, memos, counters and cached ingest plans; composites spawn
+        their children.  Immutable members — hash families, ``g``, the
+        configuration — stay shared."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not define _fresh_state, so it "
+            "cannot spawn siblings"
+        )
 
     @abstractmethod
     def merge(self, other: "MergeableSketch") -> "MergeableSketch":
@@ -197,17 +221,21 @@ class MergeableSketch(ABC):
 
     def compat_digest(self) -> str:
         """Digest of everything that must match for two sketches to merge:
-        class, configuration, randomness lineage, and any extra evidence."""
-        material = {
-            "class": type(self).__name__,
-            "config": {
-                k: _config_token(v) for k, v in sorted(self._merge_config.items())
-            },
-            "lineage": list(self._merge_lineage) if self._merge_lineage else None,
-            "extra": _config_token(list(self._extra_compat())),
-        }
-        blob = json.dumps(material, sort_keys=True, default=_digest_reject).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        class, configuration, randomness lineage, and any extra evidence.
+        Computed on first use and cached: none of it changes after
+        construction, and siblings inherit the cached value."""
+        if self._compat_digest is None:
+            material = {
+                "class": type(self).__name__,
+                "config": {
+                    k: _config_token(v) for k, v in sorted(self._merge_config.items())
+                },
+                "lineage": list(self._merge_lineage) if self._merge_lineage else None,
+                "extra": _config_token(list(self._extra_compat())),
+            }
+            blob = json.dumps(material, sort_keys=True, default=_digest_reject).encode()
+            self._compat_digest = hashlib.sha256(blob).hexdigest()[:16]
+        return self._compat_digest
 
     def require_sibling(self, other: "MergeableSketch") -> None:
         """Raise ``ValueError`` unless ``other`` is merge-compatible."""
@@ -251,7 +279,18 @@ class MergeableSketch(ABC):
         :meth:`to_state`, under any codec); ``self`` is left untouched.
         States written before the codec layer carry no ``"codec"`` tag and
         decode as ``dense-json``; a tag outside ``CODECS`` raises
-        ``ValueError`` before anything is decoded."""
+        ``ValueError`` before anything is decoded.  Spawns one sibling and
+        loads the state into it in place."""
+        sibling = self.spawn_sibling()
+        sibling._load_state(state)
+        return sibling
+
+    def _load_state(self, state: dict) -> None:
+        """Replace this sketch's mutable state with ``state`` in place,
+        after checking format, version, codec, class and compat digest.
+        Composites load their nested states through this, into their own
+        children, so a decode spawns once at the top instead of once per
+        level."""
         if state.get("format") != STATE_FORMAT:
             raise ValueError("not a repro sketch state")
         if state.get("version") != STATE_VERSION:
@@ -267,10 +306,8 @@ class MergeableSketch(ABC):
                 "state belongs to a sketch with different configuration or "
                 "randomness lineage"
             )
-        sibling = self.spawn_sibling()
-        sibling._load_state_payload(state["payload"])
-        sibling._invalidate_ingest_plans()
-        return sibling
+        self._load_state_payload(state["payload"])
+        self._invalidate_ingest_plans()
 
     def _invalidate_ingest_plans(self) -> None:
         """Drop any cached fused-ingestion plan (see

@@ -93,6 +93,9 @@ class CountMinSketch(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return tuple(h.fingerprint() for h in self._hashes)
 
+    def _fresh_state(self) -> None:
+        self._table = np.zeros((self.rows, self.buckets), dtype=np.float64)
+
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
         """Linearity: counters add, so merging sibling sketches of two
         streams sketches their concatenation."""

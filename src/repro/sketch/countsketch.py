@@ -385,6 +385,13 @@ class CountSketch(MergeableSketch):
             + (self._pool_hash.fingerprint(),)
         )
 
+    def _fresh_state(self) -> None:
+        self._table = np.zeros((self.rows, self.buckets), dtype=np.float64)
+        self._item_cache = {}
+        self._candidates = {}
+        self._pool_heap = []
+        self._cand_arr = None
+
     def merge(self, other: "CountSketch") -> "CountSketch":
         """Linearity: merging sketches of two streams sketches their
         concatenation.  Requires sibling sketches (identical dimensions and

@@ -107,6 +107,11 @@ class ExactCounter(MergeableSketch):
 
     # ------------------------------------------------- mergeable protocol
 
+    def _fresh_state(self) -> None:
+        if self._restrict is not None:
+            self._restrict = set(self._restrict)
+        self._counts = {}
+
     def merge(self, other: "ExactCounter") -> "ExactCounter":
         """Net counts add; zero totals drop (so the merged counter equals
         one that tabulated the concatenated stream)."""

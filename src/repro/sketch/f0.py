@@ -108,6 +108,10 @@ class BjkstF0Sketch(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self._hash.fingerprint(),)
 
+    def _fresh_state(self) -> None:
+        self.level = 0
+        self._sample = {}
+
     def merge(self, other: "BjkstF0Sketch") -> "BjkstF0Sketch":
         """Union at the deeper of the two levels, then re-apply the budget
         rule.  The retained sample is always "every seen item hashing below
@@ -214,6 +218,9 @@ class TurnstileF0Estimator(MergeableSketch):
 
     def _extra_compat(self) -> tuple:
         return (self.level, self._hash.fingerprint())
+
+    def _fresh_state(self) -> None:
+        self._counts = {}
 
     def merge(self, other: "TurnstileF0Estimator") -> "TurnstileF0Estimator":
         """Net counts add (the subsampling level is fixed at construction,

@@ -1,6 +1,6 @@
 """The mergeable-sketch protocol contract, for every implementer.
 
-Four properties, enforced bit-for-bit:
+Five properties, enforced bit-for-bit:
 
 * **Shard invariance** — splitting any stream across k sibling sketches
   (k in {1, 2, 7}) and merging yields state and estimates identical to
@@ -15,6 +15,9 @@ Four properties, enforced bit-for-bit:
 * **Sibling discipline** — ``spawn_sibling`` yields an empty,
   merge-compatible clone; merging or loading state across different
   configurations or randomness lineages raises ``ValueError``.
+* **Sibling isolation** — spawned and decoded siblings share hash
+  families with their source but no mutable state: writing either side
+  leaves the other's state bytes as they were.
 """
 
 import json
@@ -217,6 +220,116 @@ class TestStateRoundTrip:
         merged = original.spawn_sibling().merge(original)
         assert merged.to_state() == original.to_state()
         assert observe(merged) == observe(original)
+
+
+UPDATES = list(STREAM)
+FIRST_HALF = UPDATES[: len(UPDATES) // 2]
+SECOND_HALF = UPDATES[len(UPDATES) // 2 :]
+
+
+def _state_bytes(sketch) -> str:
+    return dumps_state(sketch.to_state())
+
+
+def _write_everything(target, build):
+    """Feed ``target`` (batch and scalar), merge a fed sibling into it,
+    then load a third sketch's state into it in place."""
+    drive(target, iter(SECOND_HALF))
+    for update in FIRST_HALF[:50]:
+        target.update(update.item, update.delta)
+    target.merge(drive(target.spawn_sibling(), iter(FIRST_HALF)))
+    target._load_state(drive(build(), iter(SECOND_HALF)).to_state())
+
+
+def _sibling(source, how):
+    if how == "spawn":
+        return source.spawn_sibling()
+    return source.from_state(source.to_state(codec="sparse-binary"))
+
+
+def _nested_states(value):
+    """Every sketch state in ``value`` (itself included), at any depth."""
+    found = []
+    if isinstance(value, dict):
+        if value.get("format") == "repro-sketch-state":
+            found.append(value)
+        for member in value.values():
+            found.extend(_nested_states(member))
+    elif isinstance(value, list):
+        for member in value:
+            found.extend(_nested_states(member))
+    return found
+
+
+@pytest.mark.parametrize("build,observe", CASES, ids=IDS)
+@pytest.mark.parametrize("how", ("spawn", "decode"))
+class TestSiblingIsolation:
+    """Spawned and decoded siblings are shallow copies that share the
+    source's hash families; they must share none of its tables, pools,
+    heaps, counter dicts or restriction sets."""
+
+    def test_writing_the_sibling_leaves_the_source(self, build, observe, how):
+        source = drive(build(), iter(FIRST_HALF))
+        before = _state_bytes(source)
+        _write_everything(_sibling(source, how), build)
+        assert _state_bytes(source) == before
+
+    def test_writing_the_source_leaves_the_sibling(self, build, observe, how):
+        source = drive(build(), iter(FIRST_HALF))
+        sibling = _sibling(source, how)
+        before = _state_bytes(sibling)
+        _write_everything(source, build)
+        assert _state_bytes(sibling) == before
+
+    def test_wrong_nested_digest_leaves_the_receiver(self, build, observe, how):
+        """Each nested state is checked, whichever one carries the wrong
+        digest."""
+        receiver = _sibling(drive(build(), iter(FIRST_HALF)), how)
+        before = _state_bytes(receiver)
+        wire = dumps_state(drive(build(), STREAM).to_state())
+        count = len(_nested_states(json.loads(wire)))
+        for index in range(count):
+            state = json.loads(wire)
+            _nested_states(state)[index]["compat"] = "0" * 16
+            with pytest.raises(ValueError, match="different configuration"):
+                receiver.from_state(state)
+        assert _state_bytes(receiver) == before
+
+
+TWO_PASS_BUILDS = {
+    "two_pass_hh": lambda: TwoPassGHeavyHitter(G2, 0.1, 0.1, N, seed=5),
+    "gsum_two_pass": lambda: GSumEstimator(
+        G2, N, passes=2, heaviness=0.1, repetitions=2, seed=5
+    ),
+    "universal_two_pass": lambda: TwoPassUniversalSketch(N, repetitions=2, seed=5),
+}
+
+
+def _write_second_pass(target):
+    """Tabulate into ``target``, merge a tabulating sibling into it, then
+    load another second-pass sibling's state into it in place."""
+    drive_second_pass(target, iter(SECOND_HALF))
+    target.merge(drive_second_pass(target.spawn_sibling(), iter(FIRST_HALF)))
+    target._load_state(
+        drive_second_pass(target.spawn_sibling(), iter(SECOND_HALF)).to_state()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PASS_BUILDS))
+@pytest.mark.parametrize("how", ("spawn", "decode"))
+def test_second_pass_siblings_share_no_tabulation(name, how):
+    """A sibling of an open second pass clones the candidate restriction:
+    writing either side leaves the other's state as it was."""
+    source = drive(TWO_PASS_BUILDS[name](), STREAM)
+    source.begin_second_pass()
+    drive_second_pass(source, iter(FIRST_HALF))
+    sibling = _sibling(source, how)
+    before = _state_bytes(source)
+    _write_second_pass(sibling)
+    assert _state_bytes(source) == before
+    before = _state_bytes(sibling)
+    _write_second_pass(source)
+    assert _state_bytes(sibling) == before
 
 
 class TestTwoPassSharding:
