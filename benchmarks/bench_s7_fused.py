@@ -11,7 +11,12 @@ One table:
   is algorithmic, not parallelism: the gate arms on 1-core hosts too
   (``min_cpus=1``).  A ``fused(steady)`` row re-runs the stream with
   the per-item hash memos already warm, separating the one-time
-  memoization cost from the steady-state rate.
+  memoization cost from the steady-state rate.  A ``fused(flood)`` row
+  is the cold path: uniform items over a 2^20 domain, more than the
+  memo budget holds, so once the budget is spent the hash banks hash
+  every miss.  It reports the bytes the plan's memo budget granted
+  (which only grow, so this is their peak) and asserts they stay within
+  ``MEMO_BUDGET_BYTES``.
 
   Equality is asserted unconditionally before any timing is reported:
   the fused and legacy estimators must agree **bit for bit** — full
@@ -30,6 +35,7 @@ import time
 import numpy as np
 
 from repro.core.gsum import GSumEstimator
+from repro.core.ingest_plan import MEMO_BUDGET_BYTES
 from repro.functions.library import moment
 
 from _tables import emit_table, hardware_gate
@@ -40,6 +46,8 @@ N = 2048
 CHUNK = 2048  # the chunk size the >= 5x acceptance bar is defined at
 TOTAL = 200_000 if SMOKE else 250_000
 SEED = 42
+FLOOD_N = 1 << 20
+FLOOD_TOTAL = (30 if SMOKE else 60) * CHUNK
 
 
 def _workload() -> tuple[np.ndarray, np.ndarray]:
@@ -49,9 +57,16 @@ def _workload() -> tuple[np.ndarray, np.ndarray]:
     return items, deltas
 
 
-def _build() -> GSumEstimator:
+def _flood_workload() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(11)
+    items = rng.integers(0, FLOOD_N, size=FLOOD_TOTAL).astype(np.int64)
+    deltas = rng.integers(1, 4, size=FLOOD_TOTAL).astype(np.int64)
+    return items, deltas
+
+
+def _build(n: int = N) -> GSumEstimator:
     # Both arms use the same seed, so they share identical hash families.
-    return GSumEstimator(moment(2.0), N, passes=1, seed=SEED)
+    return GSumEstimator(moment(2.0), n, passes=1, seed=SEED)
 
 
 def _ingest(est: GSumEstimator, items: np.ndarray, deltas: np.ndarray) -> float:
@@ -93,29 +108,53 @@ def test_s7_fused_table():
     # Steady-state arm: same stream again through the already-warm plan —
     # every per-item hash row is memoized, so this is the pure scatter rate.
     steady_s = _ingest(fused, items, deltas)
+    memo_mib = fused._ingest_plan._memo.used / 2**20
+
+    # Cold arm: a distinct-item flood the memo budget cannot hold.
+    flood = _build(FLOOD_N)
+    flood_s = _ingest(flood, *_flood_workload())
+    flood_bytes = flood._ingest_plan._memo.used
+    assert flood_bytes <= MEMO_BUDGET_BYTES, (
+        f"memo holds {flood_bytes} B, over the {MEMO_BUDGET_BYTES} B budget"
+    )
 
     speedup = legacy_s / fused_s
     rows = [
         {
             "mode": "legacy",
+            "n": N,
             "chunk": CHUNK,
             "updates": TOTAL,
             "upd_per_sec": TOTAL / legacy_s,
             "speedup_vs_legacy": 1.0,
+            "memo_mib": None,
         },
         {
             "mode": "fused",
+            "n": N,
             "chunk": CHUNK,
             "updates": TOTAL,
             "upd_per_sec": TOTAL / fused_s,
             "speedup_vs_legacy": speedup,
+            "memo_mib": memo_mib,
         },
         {
             "mode": "fused(steady)",
+            "n": N,
             "chunk": CHUNK,
             "updates": TOTAL,
             "upd_per_sec": TOTAL / steady_s,
             "speedup_vs_legacy": legacy_s / steady_s,
+            "memo_mib": memo_mib,
+        },
+        {
+            "mode": "fused(flood)",
+            "n": FLOOD_N,
+            "chunk": CHUNK,
+            "updates": FLOOD_TOTAL,
+            "upd_per_sec": FLOOD_TOTAL / flood_s,
+            "speedup_vs_legacy": None,
+            "memo_mib": flood_bytes / 2**20,
         },
     ]
     warnings: list[str] = []
@@ -134,6 +173,7 @@ def test_s7_fused_table():
         claim="the fused ingestion plane updates the whole repetition x "
         "level x row grid in a handful of stacked NumPy ops per chunk, "
         ">= 5x over the legacy fan-out at chunk 2048 with bit-identical "
-        "final state",
+        "final state; on a distinct-item flood its hash memos stay within "
+        "their byte budget",
         warnings=warnings,
     )

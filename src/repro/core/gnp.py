@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.heavy_hitters import HeavyHitterPair
 from repro.functions.library import g_np
 from repro.sketch.base import MergeableSketch, decode_int_list, encode_int_list
-from repro.sketch.hashing import BernoulliHash, KWiseHash, _batch_arg, _mod_p31
+from repro.sketch.hashing import BernoulliHash, KWiseHash, _batch_arg, _horner
 from repro.streams.batching import as_batch, drive
 from repro.streams.model import StreamUpdate, TurnstileStream
 from repro.util.intmath import lowest_set_bit
@@ -72,22 +72,17 @@ class _Substream:
         self.total = 0
         self.weight = 0  # number of updates routed here (diagnostics)
         self._membership_cache: dict[int, tuple[int, ...]] = {}
-        self._trial_bank: tuple[np.ndarray, np.ndarray] | None = None
+        self._trial_bank: np.ndarray | None = None
 
-    def _trial_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The D pairwise trial polynomials stacked as coefficient arrays,
-        so one broadcasted Horner step evaluates every trial for a whole
-        item array (same coefficients as the scalar hashes, so memberships
-        agree bit for bit)."""
+    def _trial_coeffs(self) -> np.ndarray:
+        """The D pairwise trial polynomials stacked as a ``(2, D)``
+        coefficient array, so one broadcasted Horner step evaluates every
+        trial for a whole item array (same coefficients as the scalar
+        hashes, so memberships agree bit for bit)."""
         if self._trial_bank is None:
-            self._trial_bank = (
-                np.array(
-                    [h._hash._coeffs[0] for h in self._bernoulli], dtype=np.uint64
-                ),
-                np.array(
-                    [h._hash._coeffs[1] for h in self._bernoulli], dtype=np.uint64
-                ),
-            )
+            self._trial_bank = np.array(
+                [h._hash._coeffs for h in self._bernoulli], dtype=np.uint64
+            ).T.copy()
         return self._trial_bank
 
     def _memberships(self, item: int) -> tuple[int, ...]:
@@ -127,11 +122,8 @@ class _Substream:
         # All D trial memberships in one broadcasted degree-1 Horner step
         # over GF(2^31 - 1): membership(i, t) = (c0[t]*arg_i + c1[t]) mod 2,
         # exactly the scalar BernoulliHash arithmetic.
-        c0, c1 = self._trial_coeffs()
-        arg = _batch_arg(unique)[:, None]
-        member = (_mod_p31(c0[None, :] * arg + c1[None, :]) & np.uint64(1)).astype(
-            bool
-        )
+        residues = _horner(self._trial_coeffs(), _batch_arg(unique))
+        member = (residues & np.uint64(1)).astype(bool)
         trial_add = (net[:, None] * member).sum(axis=0)
         self.trial_counters = [
             c + int(a) for c, a in zip(self.trial_counters, trial_add.tolist())

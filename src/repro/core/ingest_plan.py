@@ -22,11 +22,15 @@ dominate its runtime.  An :class:`IngestPlan` collapses the walk:
   coefficient banks (one broadcasted Horner pass per cell instead of one
   per row), and all repetitions' subsampling bit polynomials into one
   depth bank evaluated once per chunk.
-* **Per-cell hash memos.**  Hash families are immutable once constructed
-  — state payloads carry tables, pools, and registers, never
-  coefficients — so each cell memoizes its evaluated (key, sign) rows by
-  item.  Steady-state chunks reduce to sorted-array lookups, one scatter,
-  and one small matmul per AMS cell.
+* **Hash memos under one budget.**  Hash families are immutable once
+  constructed — state payloads carry tables, pools, and registers, never
+  coefficients — so each cell memoizes its evaluated (key, sign, AMS
+  sign) rows by item, and steady-state chunks reduce to sorted-array
+  lookups, one scatter, and one small matmul per AMS cell.  The memos
+  of all cells share one byte budget per plan
+  (:data:`MEMO_BUDGET_BYTES`), granted first come, first served
+  (:class:`_MemoBudget`): once it is spent, a cell still gathers its
+  hits and hashes its misses through the banks without storing them.
 
 **Bit-for-bit equality.**  Updates arrive through
 :func:`~repro.streams.batching.as_batch`, which coerces deltas to int64,
@@ -48,7 +52,8 @@ round-trips, ``spawn_sibling``, ``begin_second_pass`` /
 ``_invalidate_ingest_plans()`` on every such operation, and — belt and
 braces — :meth:`IngestPlan.is_valid` re-walks the object identities and
 ``table.base`` linkage every chunk, so even an unanticipated mutation
-degrades to a rebuild instead of corrupting state.
+degrades to a rebuild instead of corrupting state.  A rebuilt plan starts
+with empty memos and a fresh budget.
 
 **One path.**  The plan is the only batched ingest path of the estimators
 it serves; it never falls back.  A closed first pass or an unbegun second
@@ -70,16 +75,47 @@ from repro.sketch.exact import ExactCounter
 from repro.sketch.hashing import StackedKWiseBank
 from repro.streams.batching import as_batch
 
-#: Per-cell bound on memoized hash rows (items).  Beyond it, misses are
-#: evaluated per chunk without being stored — correctness is unaffected,
-#: steady-state speed degrades toward the bank-only cost.  The AMS sign
-#: rows dominate the footprint (~1.8 KB per item at default dimensions).
-CACHE_ITEMS_LIMIT = 1 << 15
+#: Bytes of memoized hash rows one plan may hold, summed over its cells
+#: and charged for the capacity the rows grow into (item index, plane
+#: keys, CountSketch signs and AMS sign rows).  A row costs 352 bytes at
+#: the default dimensions (224 of them its AMS signs, one byte each), so
+#: this holds the whole working set of the n = 2^12, 3-repetition plane
+#: (24,546 rows, 8.3 MiB) many times over.  The memo is a pure cache:
+#: what it refuses is hashed again, never lost.
+MEMO_BUDGET_BYTES = 64 << 20
+
+
+class _MemoBudget:
+    """The byte budget the cells' hash memos share.  ``used`` counts the
+    bytes they have reserved; :meth:`grant` reserves room first come,
+    first served, and never gives it back while the plan lives."""
+
+    __slots__ = ("used",)
+
+    def __init__(self):
+        self.used = 0
+
+    def grant(self, need: int, want: int, row_bytes: int) -> int:
+        """Reserve between ``need`` and ``want`` rows of ``row_bytes``
+        each, as many as the budget can pay for; returns the rows
+        reserved, or 0 when ``need`` overflows."""
+        rows = min(want, (MEMO_BUDGET_BYTES - self.used) // row_bytes)
+        if rows < need:
+            return 0
+        self.used += rows * row_bytes
+        return rows
 
 
 class _PlaneCell:
     """One (repetition, level) cell: a CountSketch slab of the plane, its
-    stacked hash banks, optional AMS twin, and the per-item memo."""
+    stacked hash banks, optional AMS twin, and the per-item memo.
+
+    The memo appends rows (plane keys, CountSketch signs, AMS sign rows)
+    in arrival order into arrays that grow geometrically, and finds them
+    through a sorted index: ``items`` ascending, ``slots[i]`` the row of
+    ``items[i]``.  A store copies the index, not the rows.  AMS signs are
+    kept as ``int8`` (±1 is exact in any dtype), an eighth of the bytes a
+    hit gathers; the AMS matmul reads them as float64."""
 
     __slots__ = (
         "owner",
@@ -89,7 +125,9 @@ class _PlaneCell:
         "sign_bank",
         "ams_bank",
         "row_offsets",
+        "row_bytes",
         "items",
+        "slots",
         "keys",
         "signs",
         "ams_rows",
@@ -105,23 +143,18 @@ class _PlaneCell:
         self.row_offsets = (
             np.arange(cs.rows, dtype=np.int64) + cell_index * cs.rows
         ) * cs.buckets
+        ams_count = 0 if self.ams_bank is None else self.ams_bank.count
+        # int64 item and slot, int64 keys and float64 signs, int8 AMS signs.
+        self.row_bytes = 8 * (2 + 2 * cs.rows) + ams_count
         self.items = np.empty(0, dtype=np.int64)
+        self.slots = np.empty(0, dtype=np.int64)
         self.keys = np.empty((0, cs.rows), dtype=np.int64)
         self.signs = np.empty((0, cs.rows), dtype=np.float64)
         self.ams_rows = (
             None
             if self.ams_bank is None
-            else np.empty((0, self.ams_bank.count), dtype=np.float64)
+            else np.empty((0, self.ams_bank.count), dtype=np.int8)
         )
-
-    def adopt_memo(self, old: "_PlaneCell") -> None:
-        """Carry a previous plan's memo over a rebuild that kept the same
-        sketch objects (e.g. after a merge): hash values only depend on
-        the immutable families, so they stay exact."""
-        self.items = old.items
-        self.keys = old.keys
-        self.signs = old.signs
-        self.ams_rows = old.ams_rows
 
     def _evaluate(self, miss: np.ndarray):
         """Bank-evaluate uncached items: flat plane keys, CountSketch
@@ -133,10 +166,46 @@ class _PlaneCell:
         )
         return keys, signs, ams_rows
 
-    def lookup(self, su: np.ndarray):
-        """(keys, signs, ams_rows) for the sorted survivor array ``su``,
-        served from the memo; misses are bank-evaluated and inserted
-        (bounded by :data:`CACHE_ITEMS_LIMIT`)."""
+    def _gather(self, rows: np.ndarray):
+        return (
+            self.keys[rows],
+            self.signs[rows],
+            None if self.ams_rows is None else self.ams_rows[rows],
+        )
+
+    def _store(self, miss: np.ndarray, keys_m, signs_m, ams_m, budget) -> bool:
+        """Append the rows of the sorted, uncached ``miss`` and index
+        them; False, with nothing stored, when ``budget`` cannot pay for
+        the room they need.  Capacity at least doubles when it grows, as
+        far as the budget allows."""
+        n = self.items.shape[0]
+        end = n + miss.shape[0]
+        capacity = self.keys.shape[0]
+        if end > capacity:
+            extra = budget.grant(
+                end - capacity, max(end, 2 * capacity) - capacity, self.row_bytes
+            )
+            if not extra:
+                return False
+            for name in ("keys", "signs", "ams_rows"):
+                old = getattr(self, name)
+                if old is not None:
+                    grown = np.empty((capacity + extra, old.shape[1]), dtype=old.dtype)
+                    grown[:n] = old[:n]
+                    setattr(self, name, grown)
+        self.keys[n:end] = keys_m
+        self.signs[n:end] = signs_m
+        if self.ams_rows is not None:
+            self.ams_rows[n:end] = ams_m
+        at = np.searchsorted(self.items, miss)
+        self.items = np.insert(self.items, at, miss)
+        self.slots = np.insert(self.slots, at, np.arange(n, end, dtype=np.int64))
+        return True
+
+    def lookup(self, su: np.ndarray, budget: _MemoBudget):
+        """(keys, signs, ams_rows) for the sorted survivor array ``su``:
+        hits are gathered from the memo, misses are bank-evaluated and
+        stored when ``budget`` grants their room."""
         cached = self.items
         n = cached.shape[0]
         if n:
@@ -144,44 +213,22 @@ class _PlaneCell:
             pos[pos == n] = n - 1
             hit = cached[pos] == su
             if hit.all():
-                return (
-                    self.keys[pos],
-                    self.signs[pos],
-                    None if self.ams_rows is None else self.ams_rows[pos],
-                )
+                return self._gather(self.slots[pos])
             miss = su[~hit]
         else:
             hit = None
             miss = su
         keys_m, signs_m, ams_m = self._evaluate(miss)
-        if n + miss.shape[0] <= CACHE_ITEMS_LIMIT:
-            merged = np.concatenate([cached, miss])
-            order = np.argsort(merged, kind="stable")
-            self.items = merged[order]
-            self.keys = np.concatenate([self.keys, keys_m])[order]
-            self.signs = np.concatenate([self.signs, signs_m])[order]
-            if self.ams_rows is not None:
-                self.ams_rows = np.concatenate([self.ams_rows, ams_m])[order]
-            pos = np.searchsorted(self.items, su)
-            return (
-                self.keys[pos],
-                self.signs[pos],
-                None if self.ams_rows is None else self.ams_rows[pos],
-            )
-        # Memo full: assemble this chunk's rows without storing the misses.
+        if self._store(miss, keys_m, signs_m, ams_m, budget):
+            return self._gather(self.slots[np.searchsorted(self.items, su)])
+        # Refused: assemble this chunk's rows without storing the misses.
         if hit is None:
             return keys_m, signs_m, ams_m
-        keys = np.empty((su.shape[0], self.keys.shape[1]), dtype=np.int64)
-        signs = np.empty((su.shape[0], self.signs.shape[1]), dtype=np.float64)
-        keys[hit] = self.keys[pos[hit]]
+        keys, signs, ams_rows = self._gather(self.slots[pos])
         keys[~hit] = keys_m
-        signs[hit] = self.signs[pos[hit]]
         signs[~hit] = signs_m
-        if self.ams_rows is None:
-            return keys, signs, None
-        ams_rows = np.empty((su.shape[0], self.ams_rows.shape[1]), dtype=np.float64)
-        ams_rows[hit] = self.ams_rows[pos[hit]]
-        ams_rows[~hit] = ams_m
+        if ams_rows is not None:
+            ams_rows[~hit] = ams_m
         return keys, signs, ams_rows
 
 
@@ -288,8 +335,8 @@ class IngestPlan(_FusedPlan):
 
     Built lazily by :func:`build_ingest_plan`; holds strong references to
     the live sketch objects, the stacked plane their CountSketch tables
-    view, the hash banks, and the per-cell memos.  See the module
-    docstring for the equality and invalidation contracts.
+    view, the hash banks, the per-cell memos and their shared budget.
+    See the module docstring for the equality and invalidation contracts.
     """
 
     def __init__(
@@ -302,6 +349,7 @@ class IngestPlan(_FusedPlan):
         super().__init__(rep_sketches, cells, levels)
         self._plane = plane
         self._flat_plane = plane.reshape(-1)
+        self._memo = _MemoBudget()
 
     def _cell_is_live(self, inner, cell: _PlaneCell) -> bool:
         # ``fused_cell()`` raises once a two-pass level's first pass closed.
@@ -317,7 +365,7 @@ class IngestPlan(_FusedPlan):
         weight_parts: List[np.ndarray] = []
         admissions = []
         for cell, su, sn in self._survivors(items, deltas):
-            keys, signs, ams_rows = cell.lookup(su)
+            keys, signs, ams_rows = cell.lookup(su, self._memo)
             key_parts.append(keys.ravel())
             weight_parts.append((signs * sn[:, None]).ravel())
             if ams_rows is not None:
@@ -370,15 +418,11 @@ def _level_grid(rep_sketches: Sequence[RecursiveGSumSketch]) -> tuple:
     return levels, grid
 
 
-def build_ingest_plan(
-    rep_sketches: Sequence, previous: "IngestPlan | None" = None
-) -> IngestPlan:
+def build_ingest_plan(rep_sketches: Sequence) -> IngestPlan:
     """An :class:`IngestPlan` over the live repetition sketches.  Restacks
     every CountSketch table into a fresh plane (rebinding ``cs._table``
-    to a view — values copied exactly, protocol state untouched) and, on
-    a rebuild, carries over per-cell hash memos for cells whose sketch
-    objects survived (hash families are immutable, so the memo stays
-    exact)."""
+    to a view — values copied exactly, protocol state untouched); its
+    cells start with empty hash memos and a fresh memo budget."""
     reps = list(rep_sketches)
     levels, grid = _level_grid(reps)
     # Every hook runs before any table is rebound: a closed pass raises
@@ -386,19 +430,12 @@ def build_ingest_plan(
     specs = [(inner, *inner.fused_cell()) for rep in grid for inner in rep]
     # Every level is built from one configuration, so cells share a shape.
     rows, buckets = specs[0][1].rows, specs[0][1].buckets
-    old_memos = {}
-    if previous is not None:
-        old_memos = {id(cell.cs): cell for rep in previous._cells for cell in rep}
     plane = np.empty((len(specs), rows, buckets), dtype=np.float64)
     flat_cells: List[_PlaneCell] = []
     for i, (owner, cs, ams) in enumerate(specs):
         plane[i] = cs._table
         cs._table = plane[i]
-        cell = _PlaneCell(owner, cs, ams, i)
-        old = old_memos.get(id(cs))
-        if old is not None and old.cs is cs:
-            cell.adopt_memo(old)
-        flat_cells.append(cell)
+        flat_cells.append(_PlaneCell(owner, cs, ams, i))
     per_rep = levels + 1
     cells = [flat_cells[r * per_rep : (r + 1) * per_rep] for r in range(len(reps))]
     return IngestPlan(reps, cells, levels, plane)
@@ -424,7 +461,7 @@ def fused_update_batch(owner, items, deltas) -> None:
     or rebuilding it as needed."""
     plan = owner._ingest_plan
     if plan is None or not plan.is_valid(owner._sketches):
-        plan = owner._ingest_plan = build_ingest_plan(owner._sketches, previous=plan)
+        plan = owner._ingest_plan = build_ingest_plan(owner._sketches)
     plan.update_batch(items, deltas)
 
 

@@ -83,9 +83,11 @@ class AmsF2Sketch(MergeableSketch):
         """Accumulate a pre-aggregated ``(net, sign-matrix)`` pair — the
         fused-plan entry point.  ``net`` must be the float64 net deltas of
         the batch's distinct items and ``signs`` their
-        :attr:`sign_bank` rows; equal bit for bit to :meth:`update_batch`
-        on the underlying batch (same matrix product, and registers are
-        integer-valued sums far below 2^53)."""
+        :attr:`sign_bank` rows, as ±1 in any numeric dtype (the plan's
+        memo keeps them as ``int8``; the product reads them as float64);
+        equal bit for bit to :meth:`update_batch` on the underlying batch
+        (same matrix product, and registers are integer-valued sums far
+        below 2^53)."""
         self._registers += net @ signs
 
     def process(self, stream: TurnstileStream | Iterable[StreamUpdate]) -> "AmsF2Sketch":

@@ -7,13 +7,16 @@ Proposition 49), and pairwise-independent Bernoulli variables (the g_np
 algorithm of Proposition 54).
 
 All are implemented as random polynomials of degree k-1 over GF(p) with
-p = 2^61 - 1, evaluated with Python integers (exact, no overflow).
+the Mersenne prime p = 2^31 - 1.  Scalar evaluation runs Horner's rule on
+Python integers with an exact ``%`` per step.
 
 Batched evaluation: every family also exposes a ``values_batch(xs)`` (and
 sign/level variants) that evaluates the polynomial for a whole ``int64``
-array of items in a handful of numpy operations.  Residues are 31-bit, so
-Horner steps multiply inside ``uint64`` without overflow and the batched
-arithmetic is *exactly* the scalar arithmetic — batch and scalar paths
+array of items in ``uint64`` numpy arithmetic, through one Horner kernel
+(:func:`_horner`) shared by every batched family.  It reduces lazily —
+two Mersenne folds per step keep every value at most p, so the next
+product fits in ``uint64`` — and subtracts p once at the end, so the
+batched residues are *exactly* the scalar ones: batch and scalar paths
 agree bit for bit on every item.
 
 Mergeable-sketch support: hash families are immutable once constructed, so
@@ -30,22 +33,59 @@ import numpy as np
 
 from repro.util.rng import RandomSource, as_source
 
-MERSENNE_P = (1 << 61) - 1
 MERSENNE_P31 = (1 << 31) - 1
 
 _U64_P31 = np.uint64(MERSENNE_P31)
 _U64_31 = np.uint64(31)
 
 
-def _mod_p31(x: np.ndarray) -> np.ndarray:
-    """Exact ``x mod (2^31 - 1)`` for uint64 arrays with ``x < 2^62``,
-    via Mersenne folding (``2^31 = 1 mod p``) — two shift-and-add folds
-    plus one conditional subtract, avoiding the hardware integer divide
-    that dominates a ``%`` on the batch hot path.  Agrees with ``%``
-    bit for bit on the whole input range."""
-    x = (x & _U64_P31) + (x >> _U64_31)
-    x = (x & _U64_P31) + (x >> _U64_31)
-    return np.where(x >= _U64_P31, x - _U64_P31, x)
+#: Elements of the Horner accumulator one pass works on (256 KiB of
+#: uint64), so a block and its scratch stay in cache across all steps.
+_HORNER_BLOCK = 1 << 15
+
+
+def _horner(coeffs: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """Residues mod p = 2^31 - 1 of a stack of polynomials at a batch of
+    arguments: ``coeffs`` is ``uint64[independence, *shape]`` (leading
+    coefficient first), ``arg`` a 1-D ``uint64`` array of residues, and
+    the result is ``uint64[len(arg), *shape]``, every entry in ``[0, p)``.
+
+    Each step is ``acc = acc * arg + c`` followed by two Mersenne folds
+    ``(x & p) + (x >> 31)`` (``2^31 = 1 mod p``), all in place, over
+    blocks of arguments small enough to stay in cache.  With
+    ``acc <= p`` and ``arg, c < p`` the step value stays below 2^62, the
+    first fold leaves it below 2^32 and the second at most p, which
+    stands for 0 until the single conditional subtract at the end.  So
+    every product fits in ``uint64`` and the result equals a ``%`` at
+    every step bit for bit, with no hardware divide."""
+    acc = np.empty(arg.shape + coeffs.shape[1:], dtype=np.uint64)
+    arg = arg.reshape(arg.shape + (1,) * (coeffs.ndim - 1))
+    step = max(1, _HORNER_BLOCK // max(1, coeffs[0].size))
+    scratch = np.empty((min(step, acc.shape[0]),) + acc.shape[1:], dtype=np.uint64)
+    for lo in range(0, acc.shape[0], step):
+        block = acc[lo : lo + step]
+        x = arg[lo : lo + step]
+        spill = scratch[: block.shape[0]]
+        block[...] = coeffs[0]
+        for c in coeffs[1:]:
+            np.multiply(block, x, out=block)
+            np.add(block, c, out=block)
+            np.right_shift(block, _U64_31, out=spill)
+            np.bitwise_and(block, _U64_P31, out=block)
+            np.add(block, spill, out=block)
+            np.right_shift(block, _U64_31, out=spill)
+            np.bitwise_and(block, _U64_P31, out=block)
+            np.add(block, spill, out=block)
+        # block - p wraps past 2^63 unless block == p: the minimum maps p to 0.
+        np.subtract(block, _U64_P31, out=spill)
+        np.minimum(block, spill, out=block)
+    return acc
+
+
+def _to_range(acc: np.ndarray, range_size: int) -> np.ndarray:
+    """``acc mod range_size`` in place, returned as ``int64`` (residues
+    are below 2^31, so the view keeps every value)."""
+    return np.remainder(acc, np.uint64(range_size), out=acc).view(np.int64)
 
 
 def _batch_arg(xs: "np.ndarray | Iterable[int]") -> np.ndarray:
@@ -101,19 +141,18 @@ class VectorKWiseHash:
     def values_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """Hash values for a whole item array: shape ``(len(xs), count)``.
 
-        Row ``i`` equals ``values(xs[i])`` bit for bit — the Horner loop is
-        the same 31-bit arithmetic, broadcast over the batch axis.
+        Row ``i`` equals ``values(xs[i])`` bit for bit: :func:`_horner`
+        returns the same residues, broadcast over the batch axis.
         """
-        arg = _batch_arg(xs)[:, None]
-        acc = np.zeros((arg.shape[0], self.count), dtype=np.uint64)
-        for row in self._coeffs:
-            acc = _mod_p31(acc * arg + row[None, :])
-        return acc
+        return _horner(self._coeffs, _batch_arg(xs))
 
     def signs_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """+-1 sign matrix of shape ``(len(xs), count)``."""
-        values = self.values_batch(xs)
-        return (values & np.uint64(1)).astype(np.float64) * 2.0 - 1.0
+        parity = np.bitwise_and(self.values_batch(xs), np.uint64(1))
+        signs = parity.astype(np.float64)
+        signs *= 2.0
+        signs -= 1.0
+        return signs
 
 
 class StackedKWiseBank:
@@ -129,8 +168,8 @@ class StackedKWiseBank:
     of numpy operations instead of one call per (cell, row).
 
     Column ``c`` of :meth:`values_batch` equals
-    ``hashes[c].values_batch(xs)`` bit for bit: the Horner recurrence is
-    the same 31-bit ``_mod_p31`` arithmetic, broadcast over a second axis.
+    ``hashes[c].values_batch(xs)`` bit for bit: both run the one Horner
+    kernel :func:`_horner`, here broadcast over a second axis.
     """
 
     def __init__(self, coeffs: np.ndarray, range_size: int):
@@ -175,11 +214,8 @@ class StackedKWiseBank:
     def values_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """Hash values of shape ``(len(xs), count)``; column ``c`` equals
         the c-th stacked hash's ``values_batch(xs)`` bit for bit."""
-        arg = _batch_arg(xs)[:, None]
-        acc = np.zeros((arg.shape[0], self.count), dtype=np.uint64)
-        for row in self._coeffs:
-            acc = _mod_p31(acc * arg + row[None, :])
-        return (acc % np.uint64(self.range_size)).astype(np.int64)
+        acc = _horner(self._coeffs, _batch_arg(xs))
+        return _to_range(acc, self.range_size)
 
     def signs_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """±1.0 matrix of shape ``(len(xs), count)`` for range-2 stacks;
@@ -228,15 +264,12 @@ class KWiseHash:
     def values_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """Hash values for a whole ``int64`` item array at once.
 
-        Element ``i`` equals ``self(xs[i])`` bit for bit: the Horner
-        recurrence runs over 31-bit residues, so ``uint64`` holds every
-        intermediate product exactly.
+        Element ``i`` equals ``self(xs[i])`` bit for bit: :func:`_horner`
+        keeps every intermediate product inside ``uint64`` and returns the
+        exact residues.
         """
-        arg = _batch_arg(xs)
-        acc = np.zeros(arg.shape[0], dtype=np.uint64)
-        for c in self._coeffs:
-            acc = _mod_p31(acc * arg + np.uint64(c))
-        return (acc % np.uint64(self.range_size)).astype(np.int64)
+        coeffs = np.array(self._coeffs, dtype=np.uint64)
+        return _to_range(_horner(coeffs, _batch_arg(xs)), self.range_size)
 
     def many(self, xs: Iterable[int]) -> np.ndarray:
         return self.values_batch(np.fromiter((int(x) for x in xs), dtype=np.int64))

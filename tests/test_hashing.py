@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.gnp import _Substream
 from repro.sketch.hashing import (
+    MERSENNE_P31,
     BernoulliHash,
     KWiseHash,
     SignHash,
+    StackedKWiseBank,
     SubsampleHash,
     VectorKWiseHash,
 )
+from repro.util.rng import as_source
 
 
 class TestKWiseHash:
@@ -129,3 +135,89 @@ class TestBernoulliHash:
         b = BernoulliHash(seed=2)
         total = sum(b(x) for x in range(4000))
         assert 1700 < total < 2300
+
+
+# Batched Horner kernel vs the scalar evaluators.  The kernel folds lazily
+# and relies on every step value fitting in uint64; the largest values
+# arise with every coefficient at p - 1 and arguments at p - 1 or p - 2,
+# so these cases pin the bound.
+
+P31 = MERSENNE_P31
+# Items whose argument (x + 1) mod p is p - 1 or p - 2, plus the edges.
+WORST_ITEMS = np.array(
+    [P31 - 2, P31 - 3, -2, -3, 2 * P31 - 2, -1, 0, P31 - 1, P31, 12345],
+    dtype=np.int64,
+)
+
+
+def _kwise(range_size: int, independence: int, coeffs) -> KWiseHash:
+    h = KWiseHash(range_size, independence, seed=0)
+    h._coeffs = [int(c) for c in coeffs]
+    return h
+
+
+class TestHornerKernel:
+    @pytest.mark.parametrize("independence", range(1, 9))
+    @pytest.mark.parametrize("range_size", [2, 1000, 1 << 14])
+    def test_kwise_worst_case(self, independence, range_size):
+        h = _kwise(range_size, independence, [P31 - 1] * independence)
+        assert h.values_batch(WORST_ITEMS).tolist() == [h(int(x)) for x in WORST_ITEMS]
+
+    @pytest.mark.parametrize("independence", range(1, 9))
+    def test_vector_worst_case(self, independence):
+        v = VectorKWiseHash(5, independence, seed=0)
+        v._coeffs[:] = P31 - 1
+        scalar = np.array([v.values(int(x)) for x in WORST_ITEMS])
+        assert np.array_equal(v.values_batch(WORST_ITEMS), scalar)
+        signs = np.array([v.signs(int(x)) for x in WORST_ITEMS])
+        assert np.array_equal(v.signs_batch(WORST_ITEMS), signs)
+
+    @pytest.mark.parametrize("independence", range(1, 9))
+    @pytest.mark.parametrize("range_size", [2, 1000, 1 << 14])
+    def test_stacked_worst_case(self, independence, range_size):
+        hashes = [
+            _kwise(range_size, independence, [P31 - 1 - c] + [P31 - 1] * (independence - 1))
+            for c in range(3)
+        ]
+        bank = StackedKWiseBank.from_hashes(hashes)
+        stacked = bank.values_batch(WORST_ITEMS)
+        for column, h in enumerate(hashes):
+            assert stacked[:, column].tolist() == [h(int(x)) for x in WORST_ITEMS]
+        if range_size == 2:
+            signs = bank.signs_batch(WORST_ITEMS)
+            for column, h in enumerate(hashes):
+                assert signs[:, column].tolist() == [
+                    1.0 if h(int(x)) == 1 else -1.0 for x in WORST_ITEMS
+                ]
+
+    def test_gnp_trial_hash_worst_case(self):
+        sub = _Substream(8, 6, as_source(3, "gnp-worst"))
+        for bern in sub._bernoulli:
+            bern._hash._coeffs = [P31 - 1, P31 - 1]
+        # Items are nonnegative in g_np; these take arguments p - 1, p - 2.
+        items = np.array([P31 - 2, P31 - 3, 2 * P31 - 2, 0, 5, P31 - 2], dtype=np.int64)
+        deltas = np.array([3, -1, 2, 1, 4, 2], dtype=np.int64)
+        scalar = sub.fresh()
+        for x, d in zip(items.tolist(), deltas.tolist()):
+            scalar.update(x, d)
+        sub.update_batch(items, deltas)
+        assert sub.trial_counters == scalar.trial_counters
+        assert sub.bit_counters == scalar.bit_counters
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(0, P31 - 1), min_size=1, max_size=8),
+        items=st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=20),
+        range_size=st.integers(1, 1 << 20),
+    )
+    def test_random_coefficients(self, coeffs, items, range_size):
+        xs = np.array(items, dtype=np.int64)
+        h = _kwise(range_size, len(coeffs), coeffs)
+        expected = [h(x) for x in items]
+        assert h.values_batch(xs).tolist() == expected
+        bank = StackedKWiseBank.from_hashes([h, h])
+        assert bank.values_batch(xs)[:, 1].tolist() == expected
+        v = VectorKWiseHash(2, len(coeffs), seed=0)
+        v._coeffs = np.array([[c, P31 - 1 - c] for c in coeffs], dtype=np.uint64)
+        scalar = np.array([v.values(x) for x in items])
+        assert np.array_equal(v.values_batch(xs), scalar)

@@ -76,7 +76,10 @@ def _oracle_feed(
 
 
 def _assert_twin(fused, oracle) -> None:
-    assert _state(fused) == _state(oracle)
+    # Compared outside the assert: a diff of two large states would take
+    # pytest minutes to render.
+    same = _state(fused) == _state(oracle)
+    assert same, "fused state differs from the oracle's"
     assert oracle._ingest_plan is None and oracle._second_plan is None
 
 
@@ -170,14 +173,143 @@ class TestFusedEqualsLegacy:
         _assert_twin(fused, legacy)
 
     def test_memo_cap_overflow_path(self, monkeypatch):
-        # Force every chunk past the per-cell memo cap: the assemble-
-        # without-storing path must produce the same bits as the cached one.
-        monkeypatch.setattr(ingest_plan, "CACHE_ITEMS_LIMIT", 8)
+        # A budget of half the working set: warm memos keep serving their
+        # hits while the budget refuses the rest, so chunks assemble rows
+        # from memo hits and unstored misses.  That path must give the
+        # cached bits.
+        items, deltas = _stream(7, size=2000)
+        probe = _gsum(15)
+        _feed(probe, items, deltas)
+        monkeypatch.setattr(
+            ingest_plan, "MEMO_BUDGET_BYTES", probe._ingest_plan._memo.used // 2
+        )
+        partial = []
+        store = ingest_plan._PlaneCell._store
+
+        def watching(cell, miss, *rows):
+            cached = cell.items.shape[0]
+            stored = store(cell, miss, *rows)
+            partial.append(cached > 0 and not stored)
+            return stored
+
+        monkeypatch.setattr(ingest_plan._PlaneCell, "_store", watching)
         fused, legacy = _pair(15)
-        items, deltas = _stream(7)
         _feed(fused, items, deltas)
         _oracle_feed(legacy, items, deltas)
+        assert any(partial)
         _assert_twin(fused, legacy)
+
+
+WIDE_N = 1 << 16
+ADMIT_CHUNK = 256
+
+
+def _wide_gsum(seed: int) -> GSumEstimator:
+    return GSumEstimator(
+        moment(2.0), WIDE_N, epsilon=0.5, heaviness=0.4, repetitions=2, seed=seed
+    )
+
+
+def _flood(seed: int, chunks: int) -> list:
+    """Uniform chunks over the wide domain: nearly every item is new."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.integers(0, WIDE_N, ADMIT_CHUNK).astype(np.int64),
+         rng.integers(-2, 4, ADMIT_CHUNK).astype(np.int64))
+        for _ in range(chunks)
+    ]
+
+
+def _hot(seed: int, chunks: int, domain: int) -> list:
+    """Zipf chunks over ``domain`` items: the same few items recur."""
+    rng = np.random.default_rng(seed)
+    return [
+        ((rng.zipf(1.2, ADMIT_CHUNK) % domain).astype(np.int64),
+         rng.integers(1, 4, ADMIT_CHUNK).astype(np.int64))
+        for _ in range(chunks)
+    ]
+
+
+def _cells(est) -> list:
+    return [cell for rep in est._ingest_plan._cells for cell in rep]
+
+
+def _memo_bytes(est) -> int:
+    """Bytes the plan's memos hold, summed over cells: the item index and
+    the key, sign and AMS sign rows (with their spare capacity)."""
+    total = 0
+    for cell in _cells(est):
+        total += cell.items.nbytes + cell.slots.nbytes
+        total += cell.keys.nbytes + cell.signs.nbytes
+        if cell.ams_rows is not None:
+            total += cell.ams_rows.nbytes
+    return total
+
+
+def _memo_rows(est) -> int:
+    return sum(cell.items.shape[0] for cell in _cells(est))
+
+
+@pytest.fixture
+def evaluated_rows(monkeypatch):
+    """A list that receives, per bank evaluation, the number of items a
+    plane cell hashes (its memo misses)."""
+    rows = []
+    evaluate = ingest_plan._PlaneCell._evaluate
+
+    def counting(cell, items):
+        rows.append(items.shape[0])
+        return evaluate(cell, items)
+
+    monkeypatch.setattr(ingest_plan._PlaneCell, "_evaluate", counting)
+    return rows
+
+
+class TestMemoBudget:
+    """Admission control: the cells' memos share one byte budget per plan,
+    granted first come, first served."""
+
+    ROW_BYTES = 352  # 8 * (item + slot + 7 keys + 7 signs) + 224 int8 AMS signs
+
+    def test_flood_stays_within_budget(self, monkeypatch):
+        budget = 1500 * self.ROW_BYTES
+        monkeypatch.setattr(ingest_plan, "MEMO_BUDGET_BYTES", budget)
+        refusals = []
+        grant = ingest_plan._MemoBudget.grant
+
+        def counting(memo, need, want, row_bytes):
+            rows = grant(memo, need, want, row_bytes)
+            refusals.append(rows == 0)
+            return rows
+
+        monkeypatch.setattr(ingest_plan._MemoBudget, "grant", counting)
+        fused, oracle = _wide_gsum(51), _wide_gsum(51)
+        for items, deltas in _flood(1, 24):
+            fused.update_batch(items, deltas)
+            _oracle_feed(oracle, items, deltas, chunk=ADMIT_CHUNK)
+            assert _cells(fused)[0].row_bytes == self.ROW_BYTES
+            assert _memo_bytes(fused) <= fused._ingest_plan._memo.used <= budget
+        assert any(refusals)  # the flood outgrew the budget
+        _assert_twin(fused, oracle)
+        assert fused.estimate() == oracle.estimate()
+
+    def test_working_set_that_fits_is_hashed_once(self, monkeypatch, evaluated_rows):
+        domain = 512
+        prefix = [(np.arange(domain, dtype=np.int64), np.ones(domain, dtype=np.int64))]
+        probe = _wide_gsum(52)
+        probe.update_batch(*prefix[0])
+        working_set = probe._ingest_plan._memo.used
+        # The budget holds the working set and not one row more.
+        monkeypatch.setattr(ingest_plan, "MEMO_BUDGET_BYTES", working_set)
+        del evaluated_rows[:]
+        est = _wide_gsum(52)
+        est.update_batch(*prefix[0])
+        assert sum(evaluated_rows) == _memo_rows(est)
+        del evaluated_rows[:]
+        for items, deltas in _hot(2, 40, domain):
+            est.update_batch(items, deltas)
+        assert evaluated_rows == []
+        assert est._ingest_plan._memo.used == working_set
 
 
 class TestInvalidationPaths:
