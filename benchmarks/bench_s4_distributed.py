@@ -5,12 +5,11 @@ sharded ingestion: the same stream is driven (a) through the sharding
 engine's thread pool, (b) through ``distributed_ingest`` (a one-round
 session of the round protocol) over the file drop-box transport, and (c)
 over the TCP socket transport, with thread- and process-hosted workers.
-Supplementary tables price the two-pass round protocol, the two state
-codecs (``dense-json`` and ``sparse-binary``), and the coordinator's
-merge paths (serial folding vs the GIL-free process tree).  The states
-are asserted bit-identical to sequential ingestion at every point — the
-invariance contract survives crossing the wire — and the tables report
-the transport overhead (serialization + transport + merge) each
+Supplementary tables price the two-pass round protocol, the
+``sparse-binary`` state codec, and the coordinator's serial merge.  The
+states are asserted bit-identical to sequential ingestion at every point
+— the invariance contract survives crossing the wire — and the tables
+report the transport overhead (serialization + transport + merge) each
 deployment pays.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the reduced-size CI version.
@@ -26,7 +25,7 @@ from repro.distributed import distributed_ingest, distributed_two_pass
 from repro.distributed.wire import delta_message, dumps_frame, dumps_message
 from repro.functions.library import moment
 from repro.sketch.base import dumps_state
-from repro.sketch.codec import CODECS
+from repro.sketch.codec import STATE_CODEC
 from repro.sketch.countsketch import CountSketch
 from repro.streams.generators import zipf_stream
 from repro.streams.model import TurnstileStream, stream_from_frequencies
@@ -238,13 +237,11 @@ def test_s4_delta_payload_sizes():
 
 
 def test_s4_codec_payload_sizes():
-    """The codec table: what each state codec costs on the wire and on
-    the clock — full-state payloads, short-period streaming delta
-    payloads (where sparse encoding is designed to win), encode + decode
-    time, and end-to-end two-pass throughput, per codec.  The merged
-    state is asserted bit-identical to the dense baseline at every point,
-    and the acceptance floor — sparse-binary deltas at least 5x smaller
-    than dense for short periods — is asserted, not just reported."""
+    """The codec table: what the state codec costs on the wire and on
+    the clock — a full-state payload, a short-period streaming delta
+    payload, encode + decode time, and end-to-end two-pass throughput.
+    The decoded and the merged states are asserted bit-identical to their
+    sources at every point."""
     from repro.sketch.base import dumps_state, loads_state
 
     items, deltas = STREAM.as_arrays()
@@ -253,9 +250,8 @@ def test_s4_codec_payload_sizes():
     base = _two_pass_estimator()
     short_period = 500 if SMOKE else 5_000
 
-    # One ingested short-period sibling, re-encoded under every codec
-    # (the identical state, so sizes are directly comparable), plus the
-    # full partition state for the one-frame-per-round shape.
+    # One ingested short-period sibling, plus the full partition state for
+    # the one-frame-per-round shape.
     period_sibling = base.spawn_sibling()
     period_sibling.update_batch(
         part_items[:short_period], part_deltas[:short_period]
@@ -268,35 +264,32 @@ def test_s4_codec_payload_sizes():
     reference = dumps_state(sequential.to_state())
     count = len(STREAM)
 
-    rows = []
-    for codec in CODECS:
-        start = time.perf_counter()
-        delta_frame = dumps_frame(
-            delta_message(0, 1, 0, period_sibling.to_state(codec=codec))
-        )
-        full_frame = dumps_frame(
-            delta_message(0, 1, 0, full_sibling.to_state(codec=codec))
-        )
-        encode_s = time.perf_counter() - start
+    start = time.perf_counter()
+    delta_frame = dumps_frame(delta_message(0, 1, 0, period_sibling.to_state()))
+    full_frame = dumps_frame(delta_message(0, 1, 0, full_sibling.to_state()))
+    encode_s = time.perf_counter() - start
 
-        wire_state = dumps_state(period_sibling.to_state(codec=codec))
-        start = time.perf_counter()
-        decoded = period_sibling.from_state(loads_state(wire_state))
-        decode_s = time.perf_counter() - start
-        assert decoded.to_state() == period_sibling.to_state(), codec
+    wire_state = dumps_state(period_sibling.to_state())
+    start = time.perf_counter()
+    decoded = period_sibling.from_state(loads_state(wire_state))
+    decode_s = time.perf_counter() - start
+    assert decoded.to_state() == period_sibling.to_state()
 
-        dist = _two_pass_estimator()
-        start = time.perf_counter()
-        distributed_two_pass(
-            dist, STREAM, workers=WORKERS, transport="socket", codec=codec,
-            delta_every=short_period,
-        )
-        elapsed = time.perf_counter() - start
-        identical = dumps_state(dist.to_state()) == reference
-        assert identical, f"2-pass via codec {codec}: state diverged"
-        rows.append(
+    dist = _two_pass_estimator()
+    start = time.perf_counter()
+    distributed_two_pass(
+        dist, STREAM, workers=WORKERS, transport="socket",
+        delta_every=short_period,
+    )
+    elapsed = time.perf_counter() - start
+    identical = dumps_state(dist.to_state()) == reference
+    assert identical, "2-pass: state diverged"
+    emit_table(
+        "S4_CODEC",
+        "state-codec payload sizes and throughput (short-period deltas)",
+        [
             {
-                "codec": codec,
+                "codec": STATE_CODEC,
                 "delta_bytes": len(delta_frame),
                 "full_state_bytes": len(full_frame),
                 "encode_s": encode_s,
@@ -304,72 +297,47 @@ def test_s4_codec_payload_sizes():
                 "two_pass_upd_per_sec": count / elapsed,
                 "state_identical": identical,
             }
-        )
-
-    dense_delta = rows[0]["delta_bytes"]
-    sparse_delta = rows[CODECS.index("sparse-binary")]["delta_bytes"]
-    rows = [
-        dict(row, delta_vs_dense=row["delta_bytes"] / dense_delta)
-        for row in rows
-    ]
-    emit_table(
-        "S4_CODEC",
-        "state-codec payload sizes and throughput (short-period deltas)",
-        rows,
-        claim="every codec reproduces the dense-json merge bit for bit; "
-        f"sparse-binary short-period deltas ({short_period} updates) are "
-        f"{dense_delta / sparse_delta:.1f}x smaller than dense frames "
+        ],
+        claim="the sparse-binary merge reproduces the single-machine "
+        f"2-pass state bit for bit; a short-period delta ({short_period} "
+        f"updates) ships {len(delta_frame):,} bytes "
         f"(this machine: {CPUS} CPUs)",
-    )
-    assert sparse_delta * 5 <= dense_delta, (
-        f"sparse-binary delta frames must be >=5x smaller than dense for short "
-        f"periods; got {dense_delta / sparse_delta:.1f}x "
-        f"({sparse_delta} vs {dense_delta} bytes)"
     )
 
 
 def test_s4_merge_tree():
-    """Process merge tree vs serial folding: end-to-end two-pass
-    throughput with streaming deltas fanned through a ``merge_workers=2``
-    tree, against the serial collector-thread fold.  The tree is the
-    GIL-free path — decode + pre-merge happen in child interpreters — so
-    its win needs real cores; every cell is asserted bit-identical either
-    way."""
+    """Serial folding on the coordinator's collector thread: end-to-end
+    two-pass throughput with streaming deltas, asserted bit-identical to
+    the single-machine run."""
     count = len(STREAM)
     sequential = _two_pass_estimator()
     sequential.run(STREAM, exact=False)
     reference = dumps_state(sequential.to_state())
     delta_every = 2_000 if SMOKE else 25_000
 
-    rows = []
-    for label, merge_workers in (("serial", 0), ("tree/process", 2)):
-        dist = _two_pass_estimator()
-        start = time.perf_counter()
-        distributed_two_pass(
-            dist, STREAM, workers=WORKERS, transport="file",
-            delta_every=delta_every, codec="sparse-binary",
-            merge_workers=merge_workers,
-        )
-        elapsed = time.perf_counter() - start
-        identical = dumps_state(dist.to_state()) == reference
-        assert identical, f"2-pass via merge={label}: state diverged"
-        rows.append(
+    dist = _two_pass_estimator()
+    start = time.perf_counter()
+    distributed_two_pass(
+        dist, STREAM, workers=WORKERS, transport="file",
+        delta_every=delta_every,
+    )
+    elapsed = time.perf_counter() - start
+    identical = dumps_state(dist.to_state()) == reference
+    assert identical, "2-pass via serial merge: state diverged"
+    emit_table(
+        "S4_MERGE",
+        "coordinator merge: serial folding",
+        [
             {
-                "merge": label,
-                "merge_workers": merge_workers,
+                "merge": "serial",
                 "workers": WORKERS,
                 "delta_every": delta_every,
                 "upd_per_sec": count / elapsed,
                 "state_identical": identical,
             }
-        )
-    emit_table(
-        "S4_MERGE",
-        "coordinator merge paths: serial vs process tree",
-        rows,
-        claim="both merge paths reproduce the single-machine 2-pass "
-        "state bit for bit; the process tree moves decode+merge off the "
-        f"coordinator's GIL, so its win needs cores (this machine: {CPUS})",
+        ],
+        claim="serial folding reproduces the single-machine 2-pass state "
+        f"bit for bit (this machine: {CPUS} CPUs)",
     )
 
 

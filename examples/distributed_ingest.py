@@ -17,9 +17,9 @@ Four escalating demonstrations:
 2. The same over the **TCP socket transport** — length-prefixed frames
    over one persistent session per worker to an ephemeral local port,
    workers in separate processes.
-3. The **process merge tree** over the socket transport — workers ship
-   ``sparse-binary`` frames and the coordinator decodes and pre-merges
-   them in a GIL-free pool of child processes.
+3. **Thread workers** over the socket transport — four workers ship
+   ``sparse-binary`` frames and the coordinator folds each one into its
+   sketch as it lands.
 4. The **CLI** (``repro worker`` / ``repro coordinate``) run as actual
    subprocesses, the way a real multi-machine deployment would.
 
@@ -75,12 +75,11 @@ def main() -> None:
     print(f"  merged state bit-identical to single-machine: {identical}")
     assert identical
 
-    # --- 3. process merge tree over sockets ------------------------------
-    print("=== socket transport: 4 thread workers, process merge tree ===")
+    # --- 3. thread workers over sockets --------------------------------
+    print("=== socket transport: 4 thread workers, CountSketch ===")
     merged = distributed_ingest(
         CountSketch(5, 1024, track=32, seed=SEED), stream,
-        workers=4, transport="socket", codec="sparse-binary",
-        merge_workers=2,
+        workers=4, transport="socket",
     )
     identical = np.array_equal(merged._table, ref_sketch._table)
     print(f"  merged state bit-identical to single-machine: {identical}")

@@ -16,22 +16,16 @@ worker     ingest one stream partition (or a whole shard file via
 coordinate collect worker states, merge them, and report — bit-identical
            to single-machine ingestion (``--verify-stream`` proves it);
            with ``--passes 2`` merges round-1 states, broadcasts the
-           merged candidates, and merges round 2;
-           ``--merge-workers N`` folds frames through a process merge
-           tree of width N instead of the collector thread
+           merged candidates, and merges round 2
 serve      long-lived asyncio HTTP/JSON query server over a snapshot
            store: ``/estimate``, ``/frequency/<item>``,
            ``/heavy-hitters``, ``/health``, ``/stats``; ``--live-chunk``
            keeps ingesting the stream in the background while queries
            are served from epoch-consistent copy-on-write snapshots
 
-Both distributed commands take ``--codec {dense-json,sparse-binary}`` —
-the state codec frames ship under (sparse-binary ships only the nonzero
-cells as raw buffers, which shrinks short-period streaming deltas
-dramatically).  The coordinator decodes both codecs, so a mixed fleet
-still merges, and the merged result is bit-identical under either
-choice.  A worker that omits ``--codec`` *negotiates*: it
-adopts whatever the coordinator advertises in its round-2 broadcast.
+Every state ships under the one state codec, ``sparse-binary`` (only
+the nonzero cells, as raw buffers; see ``repro.sketch.codec``), and the
+reported state sizes are its bytes.
 
 The function argument accepts either a catalog name (see ``catalog``) or a
 Python expression in ``x`` (evaluated in a restricted math namespace),
@@ -57,7 +51,6 @@ from repro.core.tractability import classify, zero_one_table
 from repro.functions.base import GFunction
 from repro.functions.library import catalog
 from repro.functions.registry import resolve_function
-from repro.sketch.codec import CODECS
 from repro.streams.generators import uniform_stream, zipf_stream
 from repro.streams.io import load_stream, save_stream
 
@@ -112,8 +105,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         print(f"  relative error: {result.relative_error:.2%}")
     print(f"  passes: {result.passes}  repetitions: {result.repetitions}")
     print(f"  space: {result.space_counters:,} counters")
-    size = len(dumps_state(estimator.to_state(codec=args.codec)))
-    print(f"  state bytes ({args.codec}): {size:,}")
+    print(f"  state bytes: {len(dumps_state(estimator.to_state())):,}")
     return 0
 
 
@@ -181,10 +173,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.sketch.base import dumps_state
 
     start = time.perf_counter()
-    wire = dumps_state(batched.to_state(codec=args.codec))
+    wire = dumps_state(batched.to_state())
     encode_s = time.perf_counter() - start
-    print(f"  state bytes ({args.codec}): {len(wire):,} "
-          f"(encoded in {encode_s * 1e3:.1f}ms)")
+    print(f"  state bytes: {len(wire):,} (encoded in {encode_s * 1e3:.1f}ms)")
     return 0
 
 
@@ -211,7 +202,7 @@ def _sketch_spec(args: argparse.Namespace) -> dict:
     return spec
 
 
-def _add_distributed_args(p: argparse.ArgumentParser, worker: bool) -> None:
+def _add_distributed_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transport", choices=("file", "socket"),
                    default="file",
                    help="file: drop-box directory; socket: TCP")
@@ -236,23 +227,6 @@ def _add_distributed_args(p: argparse.ArgumentParser, worker: bool) -> None:
                    help="ship an incremental state delta every N updates "
                         "(streaming merges over a persistent session; "
                         "0 = one state frame per round)")
-    if worker:
-        p.add_argument("--codec", choices=CODECS, default=None,
-                       help="state codec for shipped frames: dense-json "
-                            "(compat baseline) or sparse-binary (nonzero "
-                            "cells as raw buffers — small deltas); the "
-                            "coordinator decodes either codec, so mixed "
-                            "fleets merge fine.  Default: negotiate — "
-                            "adopt the codec the coordinator advertises "
-                            "in its round-2 broadcast (dense-json when "
-                            "it advertises none)")
-    else:
-        p.add_argument("--codec", choices=CODECS, default="dense-json",
-                       help="this coordinator's preferred state codec: "
-                            "used for reporting, and advertised to "
-                            "workers in the round-2 broadcast so workers "
-                            "without an explicit --codec adopt it "
-                            "(session-level codec negotiation)")
     p.add_argument("--rows", type=_positive_int, default=5,
                    help="countsketch/countmin rows; ams medians")
     p.add_argument("--buckets", type=_positive_int, default=1024,
@@ -272,10 +246,10 @@ def _socket_address(rendezvous: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _state_summary(sketch, codec: str) -> str:
+def _state_summary(sketch) -> str:
     """The merged state in lines a human can compare across machines: the
     compat digest (what must match), an estimate when the sketch has one,
-    and the serialized size under ``codec``."""
+    and the serialized size."""
     from repro.sketch.base import dumps_state
 
     line = f"  compat digest: {sketch.compat_digest()}"
@@ -285,8 +259,7 @@ def _state_summary(sketch, codec: str) -> str:
             line += f"\n  estimate: {estimate():,.4f}"
         except Exception:
             pass
-    size = len(dumps_state(sketch.to_state(codec=codec)))
-    line += f"\n  state bytes ({codec}): {size:,}"
+    line += f"\n  state bytes: {len(dumps_state(sketch.to_state())):,}"
     return line
 
 
@@ -327,7 +300,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         frames = run_worker_rounds(
             sketch, part_items, part_deltas, args.worker_id, session,
             chunk_size=args.chunk, delta_every=args.delta_every,
-            passes=args.passes, timeout=args.timeout, codec=args.codec,
+            passes=args.passes, timeout=args.timeout,
         )
     finally:
         session.close()
@@ -353,8 +326,7 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 
     def run_rounds(channel) -> RoundCoordinator:
         coordinator = RoundCoordinator(
-            sketch, channel, args.workers, timeout=args.timeout,
-            merge_workers=args.merge_workers, codec=args.codec,
+            sketch, channel, args.workers, timeout=args.timeout
         )
         if args.passes == 2:
             coordinator.run_two_pass()
@@ -385,7 +357,7 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
     print(f"coordinator: merged {args.workers} worker states in a "
           f"{args.passes}-pass round protocol via {args.transport} from "
           f"{args.rendezvous}")
-    print(_state_summary(sketch, args.codec))
+    print(_state_summary(sketch))
     if args.verify_stream is not None:
         reference = build_sketch(_sketch_spec(args))
         chunks = load_stream(args.verify_stream).iter_array_chunks(args.chunk)
@@ -523,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_positive_int, default=1,
                    help="parallel ingestion shards (results are "
                         "bit-identical to --shards 1)")
-    p.add_argument("--codec", choices=CODECS, default="dense-json",
-                   help="state codec for the reported serialized size")
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("generate", help="synthesize a workload stream file")
@@ -548,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_positive_int, default=1,
                    help="also time sharded parallel ingestion with this "
                         "many shards (state verified identical)")
-    p.add_argument("--codec", choices=CODECS, default="dense-json",
-                   help="state codec for the reported serialized size")
     p.set_defaults(fn=_cmd_ingest)
 
     p = sub.add_parser(
@@ -571,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total worker count (defines the partitioning)")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="socket connect / broadcast wait timeout in seconds")
-    _add_distributed_args(p, worker=True)
+    _add_distributed_args(p)
     p.set_defaults(fn=_cmd_worker)
 
     p = sub.add_parser(
@@ -586,12 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-stream", default=None,
                    help="stream file to ingest single-machine and compare "
                         "states bit-for-bit (exit 1 on mismatch)")
-    p.add_argument("--merge-workers", type=int, default=0,
-                   help="fold worker frames through a process merge tree "
-                        "of this width (0/1 = serial merging on the "
-                        "collector thread; results are bit-identical "
-                        "either way)")
-    _add_distributed_args(p, worker=False)
+    _add_distributed_args(p)
     p.set_defaults(fn=_cmd_coordinate)
 
     p = sub.add_parser(

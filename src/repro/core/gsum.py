@@ -333,7 +333,7 @@ class GSumEstimator(MergeableSketch):
                 config,
                 self._merge_lineage,
                 (self.shards,),
-                self.to_state(codec="sparse-binary"),
+                self.to_state(),
             ),
         )
 

@@ -30,7 +30,6 @@ Architecture and wire-format documentation: ``docs/ARCHITECTURE.md``.
 
 from repro.distributed.coordinator import RoundCoordinator
 from repro.distributed.driver import distributed_ingest, distributed_two_pass
-from repro.distributed.merger import MergePool
 from repro.distributed.specs import build_sketch
 from repro.distributed.transport import (
     FileTransport,
@@ -60,7 +59,6 @@ from repro.distributed.worker import (
 __all__ = [
     "FileTransport",
     "FileWorkerSession",
-    "MergePool",
     "RoundCoordinator",
     "RoundTracker",
     "SocketHub",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.distributed.merger import MergePool
 from repro.distributed.wire import (
     ROUND_FIRST_PASS,
     ROUND_SECOND_PASS,
@@ -54,20 +53,6 @@ class RoundCoordinator:
         Per-round deadline in seconds; a round that misses it raises
         :class:`~repro.distributed.transport.TransportTimeout` naming the
         straggler worker ids.
-    merge_workers:
-        ``0`` or ``1`` folds every frame serially on the collector
-        thread; ``> 1`` routes frames through a process merge tree of
-        that width (:class:`~repro.distributed.merger.MergePool`) — child
-        processes decode and pre-merge frame groups as they arrive, and
-        the group partials fold into the root at round end.  The tree
-        needs a picklable sketch (every spec-built one is); fold other
-        sketches serially.  Bit-identical to the serial path either way
-        (states are linear).
-    codec:
-        This coordinator's preferred state codec, advertised to workers
-        in the ``round_begin`` broadcast (codec negotiation): a worker
-        launched without an explicit codec adopts it for its second-pass
-        frames.  ``None`` advertises nothing.
     store:
         Optional :class:`~repro.serve.snapshot.SnapshotStore` wrapping
         ``structure``.  When given, every round merge (and the
@@ -84,8 +69,6 @@ class RoundCoordinator:
         channel,
         workers: int,
         timeout: float = 120.0,
-        merge_workers: int = 0,
-        codec: str | None = None,
         store=None,
     ):
         if workers < 1:
@@ -96,8 +79,6 @@ class RoundCoordinator:
         self.channel = channel
         self.workers = int(workers)
         self.timeout = float(timeout)
-        self.merge_workers = int(merge_workers)
-        self.codec = codec
         self.store = store
         self.stale_frames = 0
         self.rounds: List[dict] = []
@@ -119,26 +100,12 @@ class RoundCoordinator:
         self._mutate(lambda structure: structure.merge(sibling))
 
     def run_round(self, round_id: int) -> dict:
-        """Collect (and stream-merge) one round; returns its summary.
-        With ``merge_workers > 1`` arriving frames fan out across the
-        merge pool and the round's partials drain into the root before
-        the summary returns — callers observe a fully-merged structure
-        either way."""
-        if self.merge_workers > 1:
-            with MergePool(self.structure, self.merge_workers) as pool:
-                summary = self.channel.collect_round(
-                    round_id, self.workers, timeout=self.timeout,
-                    on_state=lambda message: pool.submit(message["state"]),
-                )
-                # Pool children pre-merge frame groups; only the final
-                # drain touches the root, so it is the single mutation
-                # (epoch) the round contributes.
-                self._mutate(lambda structure: pool.drain())
-        else:
-            summary = self.channel.collect_round(
-                round_id, self.workers, timeout=self.timeout,
-                on_state=self._merge_frame,
-            )
+        """Collect one round, folding every frame into the structure on
+        the collector thread as it lands; returns the round's summary."""
+        summary = self.channel.collect_round(
+            round_id, self.workers, timeout=self.timeout,
+            on_state=self._merge_frame,
+        )
         self.stale_frames += summary["stale"]
         self.rounds.append(summary)
         return summary
@@ -155,8 +122,7 @@ class RoundCoordinator:
         1. collect round 1 (worker first-pass states, merged on arrival);
         2. close pass one on the merged state and broadcast the candidate
            export (with this coordinator's compat digest, so non-sibling
-           workers refuse it, and its preferred ``codec``, which workers
-           without an explicit codec adopt) back to every worker;
+           workers refuse it) back to every worker;
         3. collect round 2 (candidate-restricted second-pass states).
 
         Returns the merged structure — bit-identical to a single machine
@@ -169,7 +135,6 @@ class RoundCoordinator:
                 ROUND_SECOND_PASS,
                 self.structure.compat_digest(),
                 self.structure.export_candidates(),
-                codec=self.codec,
             )
         )
         self.run_round(ROUND_SECOND_PASS)

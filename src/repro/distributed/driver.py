@@ -35,6 +35,7 @@ from repro.distributed.transport import (
     SocketSession,
 )
 from repro.distributed.worker import run_worker_rounds, worker_slice
+from repro.sketch.codec import STATE_CODEC
 from repro.streams.batching import DEFAULT_CHUNK
 from repro.streams.model import StreamUpdate, TurnstileStream
 from repro.streams.sharding import as_columnar, supports_sharding
@@ -66,8 +67,6 @@ def distributed_ingest(
     chunk_size: int = DEFAULT_CHUNK,
     rendezvous: str | None = None,
     timeout: float = 120.0,
-    codec: str | None = None,
-    merge_workers: int = 0,
 ):
     """Ingest ``stream`` into ``structure`` through ``workers`` distributed
     workers over a real transport, as a one-round session of the round
@@ -90,21 +89,11 @@ def distributed_ingest(
         ``"thread"`` hosts workers on a thread pool; ``"process"`` on a
         process pool (siblings must pickle — see
         :mod:`repro.functions.registry` for estimators).
-    codec:
-        State codec every worker ships under (``dense-json`` default or
-        ``sparse-binary`` — see :mod:`repro.sketch.codec`); the merged
-        result is bit-identical under either.
-    merge_workers:
-        ``> 1`` folds the collected states through a process merge tree
-        of that width (:mod:`repro.distributed.merger`) instead of
-        serially.  The tree needs a picklable ``structure`` (every
-        spec-built sketch is); fold other sketches serially.
     """
     _validate_common(structure, workers, transport, mode)
     return _run_session(
         structure, stream, workers, transport, mode, chunk_size,
         delta_every=0, passes=1, rendezvous=rendezvous, timeout=timeout,
-        codec=codec, merge_workers=merge_workers, advertise_codec=None,
     )
 
 
@@ -129,7 +118,7 @@ def _spawned_round_worker(args):
     :func:`_pickled_sibling`.  Socket sessions cannot cross a process
     boundary, so each worker dials the endpoint itself."""
     (sibling, items, deltas, worker_id, transport, endpoint, chunk_size,
-     delta_every, passes, timeout, codec) = args
+     delta_every, passes, timeout) = args
     if isinstance(sibling, bytes):
         sibling = pickle.loads(sibling)
     if transport == "file":
@@ -140,7 +129,7 @@ def _spawned_round_worker(args):
     try:
         run_worker_rounds(
             sibling, items, deltas, worker_id, session, chunk_size,
-            delta_every, passes, timeout, codec=codec,
+            delta_every, passes, timeout,
         )
     finally:
         session.close()
@@ -149,7 +138,7 @@ def _spawned_round_worker(args):
 
 def _run_session(
     structure, stream, workers, transport, mode, chunk_size, delta_every,
-    passes, rendezvous, timeout, codec, merge_workers, advertise_codec,
+    passes, rendezvous, timeout,
 ):
     """Host a ``passes``-round session locally: ``workers`` workers (on a
     thread or process pool) ingest their partitions into siblings of
@@ -186,14 +175,11 @@ def _run_session(
                 pool.submit(
                     _spawned_round_worker,
                     (sib, part[0], part[1], i, transport, endpoint,
-                     chunk_size, delta_every, passes, timeout, codec),
+                     chunk_size, delta_every, passes, timeout),
                 )
                 for i, (sib, part) in enumerate(zip(siblings, partitions))
             ]
-            coordinator = RoundCoordinator(
-                structure, channel, workers, timeout,
-                merge_workers=merge_workers, codec=advertise_codec,
-            )
+            coordinator = RoundCoordinator(structure, channel, workers, timeout)
             if passes == 2:
                 coordinator.run_two_pass()
             else:
@@ -218,9 +204,7 @@ def distributed_two_pass(
     delta_every: int = 0,
     rendezvous: str | None = None,
     timeout: float = 120.0,
-    codec: str | None = None,
-    merge_workers: int = 0,
-    advertise_codec: str | None = None,
+    codec: str = STATE_CODEC,
 ):
     """Run the full coordinated two-pass round protocol locally: round 1
     merges worker first-pass states, the coordinator broadcasts the merged
@@ -237,15 +221,13 @@ def distributed_two_pass(
         an incremental delta frame the coordinator merges on arrival
         (periods that leave the sketch untouched ship a ``delta_skipped``
         heartbeat instead of an empty payload).
-    advertise_codec:
-        The coordinator's preferred codec, advertised in the round-2
-        ``round_begin`` broadcast (codec negotiation): workers launched
-        with ``codec=None`` adopt it for their second-pass frames.
-
-    ``codec`` picks the frame codec, ``merge_workers > 1`` fans frame
-    merging out across the coordinator's process merge tree, exactly as
-    in :func:`distributed_ingest`.
+    codec:
+        Must be ``"sparse-binary"``, the one state codec; any other value
+        raises ``ValueError``.  Accepted so callers that still name the
+        codec keep working.
     """
+    if codec != STATE_CODEC:
+        raise ValueError(f"codec must be {STATE_CODEC!r}, got {codec!r}")
     _validate_common(structure, workers, transport, mode)
     if getattr(structure, "passes", 2) != 2:
         raise ValueError(
@@ -262,6 +244,5 @@ def distributed_two_pass(
     return _run_session(
         structure, stream, workers, transport, mode, chunk_size,
         delta_every=delta_every, passes=2, rendezvous=rendezvous,
-        timeout=timeout, codec=codec, merge_workers=merge_workers,
-        advertise_codec=advertise_codec,
+        timeout=timeout,
     )

@@ -33,9 +33,7 @@ Message types (all of the round protocol; a 1-pass job is one round):
     :data:`COORDINATOR_ID`).  For pass 2 of the two-pass protocol it
     carries the coordinator's ``compat`` digest (workers refuse a
     broadcast from a non-sibling) and the merged first-pass ``candidates``
-    export that seeds every worker's second pass.  An optional ``codec``
-    field advertises the coordinator's preferred state codec (session
-    negotiation: workers without an explicit codec adopt it).
+    export that seeds every worker's second pass.
 
 ``delta_skipped``
     A lightweight heartbeat taking the place of a delta frame whose
@@ -55,29 +53,33 @@ above any realistic sketch state.
 A frame's bytes come in two shapes, distinguished by the leading byte:
 
 * **JSON frames** — the UTF-8 JSON document itself (always starts with
-  ``{``).  Envelopes without state, ``dense-json`` states, and
-  ``sparse-binary`` states travelling through JSON-only channels ride
-  this way (nested buffers base64-embedded).
+  ``{``).  Envelopes without state, and states travelling through
+  JSON-only channels, ride this way (nested buffers base64-embedded).
 * **Binary frames** — :data:`BINARY_MAGIC` (an invalid UTF-8 start byte,
   so the two shapes can never be confused), a 4-byte big-endian header
   length, a JSON header, then the raw little-endian array buffers
   concatenated.  :func:`dumps_frame` lifts every ``binary`` array spec
-  nested in a ``sparse-binary`` state out of the envelope into the
-  buffer section (replacing its ``"b64"`` field with a ``"buffer"``
-  index), so the bytes ship unencoded — no base64 expansion, no JSON
-  float parsing on the hot merge path.
+  nested in a state out of the envelope into the buffer section
+  (replacing its ``"b64"`` field with a ``"buffer"`` index), so the bytes
+  ship unencoded — no base64 expansion on the hot merge path.
 
-Version-skew notes: the wire version stays 1.  The ``delta_skipped``
-type and the binary frame shape did not exist before the codec layer, so
-a coordinator predating it rejects them (unknown message type /
-undecodable frame) rather than merging wrongly; in mixed-version fleets,
-upgrade the coordinator first.  An older worker that runs ``--codec
-sparse`` or ``--codec binary`` (codecs since deleted) fails the round:
-``from_state`` raises "unknown state codec" before decoding or merging
-anything, so it never causes a wrong merge.  Peers that
-predate the single round protocol shipped a 1-pass job as one untagged
-``state`` envelope (a ``msg-<worker>.json`` drop-box file, or one frame
-per socket connection).  A current coordinator never merges one: it
+Version-skew notes: the wire version stays 1.  Every state ships under
+the one codec, ``sparse-binary``, and ``from_state`` raises "unknown
+state codec" for any other tag (``dense-json``, a deleted codec, or no
+tag at all) before decoding or merging anything, so a skewed peer fails
+its round loudly and never causes a wrong merge.  An older worker
+launched without ``--codec`` ships ``dense-json`` in round 1, so a
+current coordinator fails that round; in mixed-version fleets, upgrade
+the workers first.  A current worker ships ``sparse-binary``, which every
+coordinator since that codec was added decodes, and it ignores the
+``codec`` field an older coordinator adds to its ``round_begin``.  The
+``delta_skipped`` type and the binary frame shape came with the codec
+layer, before ``sparse-binary``, so such a coordinator accepts them too;
+one older still rejects them (unknown message type / undecodable frame)
+rather than merging wrongly.  Peers that predate the single round
+protocol shipped a 1-pass job as one untagged ``state`` envelope (a
+``msg-<worker>.json`` drop-box file, or one frame per socket
+connection).  A current coordinator never merges one: it
 never reads ``msg-*.json`` files, and ``state`` is no longer a message
 type, so the frame fails validation.  Either way the round ends in a
 ``TransportTimeout`` naming that worker.  Round frames are unchanged, so
@@ -169,16 +171,11 @@ def round_end_message(worker: int, round_id: int, frames: int) -> dict:
     }
 
 
-def round_begin_message(
-    round_id: int, compat: str, candidates=None, codec: str | None = None
-) -> dict:
+def round_begin_message(round_id: int, compat: str, candidates=None) -> dict:
     """Coordinator broadcast opening a round; for the second pass it
     carries the merged candidate export and the coordinator's compat
-    digest (the worker-side sibling check).  ``codec`` optionally
-    advertises the coordinator's preferred state codec — the session-
-    level negotiation hook: workers launched without an explicit codec
-    adopt it for the frames this broadcast solicits."""
-    message = {
+    digest (the worker-side sibling check)."""
+    return {
         "format": WIRE_FORMAT,
         "version": WIRE_VERSION,
         "type": "round_begin",
@@ -187,9 +184,6 @@ def round_begin_message(
         "compat": str(compat),
         "candidates": candidates,
     }
-    if codec is not None:
-        message["codec"] = str(codec)
-    return message
 
 
 def validate_message(message: dict) -> dict:
@@ -224,8 +218,6 @@ def validate_message(message: dict) -> dict:
             raise ValueError("round_begin message lacks a compat digest")
         if "candidates" not in message:
             raise ValueError("round_begin message lacks a candidates field")
-        if "codec" in message and not isinstance(message["codec"], str):
-            raise ValueError("round_begin codec advertisement must be a string")
     return message
 
 

@@ -76,7 +76,6 @@ def ship_round(
     chunk_size: int = DEFAULT_CHUNK,
     delta_every: int = 0,
     second_pass: bool = False,
-    codec: str | None = None,
 ) -> int:
     """Ship one round's contribution through ``send`` as delta frames plus
     a ``round_end``; returns the frame count (shipped + skipped).
@@ -97,8 +96,6 @@ def ship_round(
     heartbeat instead of a payload-free state frame: the seq slot stays
     accounted for, the wire stops paying for empty sketches, and merging
     is untouched because merging an empty sibling is the identity.
-
-    ``codec`` selects the state codec for every shipped frame.
     """
     period = items.shape[0] if delta_every <= 0 else int(delta_every)
     period = max(period, 1)
@@ -112,7 +109,7 @@ def ship_round(
     for start in range(0, items.shape[0], period):
         sibling = structure.spawn_sibling()
         if blank is None:
-            blank = sibling.to_state(codec=codec)
+            blank = sibling.to_state()
         feed_chunks(
             sibling,
             items[start : start + period],
@@ -120,7 +117,7 @@ def ship_round(
             chunk_size,
             second_pass,
         )
-        state = sibling.to_state(codec=codec)
+        state = sibling.to_state()
         if state == blank:
             send(delta_skipped_message(worker_id, round_id, seq))
         else:
@@ -143,24 +140,22 @@ def run_worker_rounds(
     delta_every: int = 0,
     passes: int = 1,
     timeout: float = 120.0,
-    codec: str | None = None,
 ) -> List[int]:
     """Drive one worker through the round protocol over a persistent
-    ``session`` (``send`` / ``recv_broadcast``), shipping every state
-    frame under ``codec``.  Returns the frame count :func:`ship_round`
-    reported for each round the worker shipped, in round order.
+    ``session`` (``send`` / ``recv_broadcast``).  Returns the frame count
+    :func:`ship_round` reported for each round the worker shipped, in
+    round order.
 
     Round 1 ships the first-pass contribution.  With ``passes == 2`` the
     worker then blocks on the coordinator's ``round_begin`` broadcast,
     refuses it unless the embedded compat digest matches this worker's own
     sketch (a mismatched spec or seed cannot silently poison pass two),
     imports the merged candidate set, and ships the second pass as round
-    2.  A worker launched without an explicit ``codec`` adopts the
-    coordinator's advertised preference from the broadcast (codec
-    negotiation) for its second-pass frames; an explicit ``codec`` always
-    wins, so operators can still pin a fleet.  Any failure publishes a
-    round-tagged ``error`` envelope before re-raising, so the coordinator
-    aborts the round immediately.
+    2.  A ``codec`` field that an older coordinator adds to the broadcast
+    is ignored: every frame ships ``sparse-binary``, which every
+    coordinator since that codec's introduction decodes.  Any failure
+    publishes a round-tagged ``error`` envelope before re-raising, so the
+    coordinator aborts the round immediately.
     """
     if passes not in (1, 2):
         raise ValueError("passes must be 1 or 2")
@@ -170,7 +165,6 @@ def run_worker_rounds(
             ship_round(
                 structure, items, deltas, worker_id, ROUND_FIRST_PASS,
                 session.send, chunk_size, delta_every, second_pass=False,
-                codec=codec,
             )
         ]
         if passes == 2:
@@ -188,7 +182,6 @@ def run_worker_rounds(
                 ship_round(
                     structure, items, deltas, worker_id, ROUND_SECOND_PASS,
                     session.send, chunk_size, delta_every, second_pass=True,
-                    codec=codec if codec is not None else begin.get("codec"),
                 )
             )
     except Exception as exc:

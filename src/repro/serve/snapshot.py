@@ -122,7 +122,7 @@ class SnapshotStore:
             return published
         with self._lock:
             epoch = self._epoch
-            state = self._live.to_state(codec="sparse-binary")
+            state = self._live.to_state()
         frozen = SketchSnapshot(epoch, self._live.from_state(state))
         with self._lock:
             if self._published is None or self._published.epoch < epoch:

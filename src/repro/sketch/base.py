@@ -57,16 +57,13 @@ from typing import Any, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.sketch.codec import (  # noqa: F401  (re-exported protocol helpers)
-    CODECS,
-    DEFAULT_CODEC,
+    STATE_CODEC,
     decode_array,
     decode_int_list,
     decode_int_map,
     encode_array,
     encode_int_list,
     encode_int_map,
-    resolve_codec,
-    use_codec,
 )
 from repro.util.rng import RandomSource
 
@@ -251,36 +248,27 @@ class MergeableSketch(ABC):
 
     # -------------------------------------------------------- serialization
 
-    def to_state(self, codec: str | None = None) -> dict:
-        """Serializable snapshot of the mutable state, tagged with the
-        compatibility digest so a mismatched load fails loudly.
-
-        ``codec`` selects the state codec (:data:`repro.sketch.codec.CODECS`:
-        ``dense-json`` — the default and compat baseline — or
-        ``sparse-binary``); ``None`` inherits the active codec, so composite
-        sketches serialize their sub-sketches under the outer selection.
-        The choice is recorded in the state's ``"codec"`` field, but every
-        encoded value is also self-describing, so :meth:`from_state` never
-        needs to be told which codec produced a state."""
-        codec = resolve_codec(codec)
-        with use_codec(codec):
-            payload = self._state_payload()
+    def to_state(self) -> dict:
+        """Serializable snapshot of the mutable state under the
+        ``sparse-binary`` codec (:mod:`repro.sketch.codec`), tagged with
+        the codec and the compatibility digest so a mismatched load fails
+        loudly."""
         return {
             "format": STATE_FORMAT,
             "version": STATE_VERSION,
             "sketch": type(self).__name__,
             "compat": self.compat_digest(),
-            "codec": codec,
-            "payload": payload,
+            "codec": STATE_CODEC,
+            "payload": self._state_payload(),
         }
 
     def from_state(self, state: dict) -> "MergeableSketch":
         """A new sibling loaded with ``state`` (produced by a sibling's
-        :meth:`to_state`, under any codec); ``self`` is left untouched.
-        States written before the codec layer carry no ``"codec"`` tag and
-        decode as ``dense-json``; a tag outside ``CODECS`` raises
-        ``ValueError`` before anything is decoded.  Spawns one sibling and
-        loads the state into it in place."""
+        :meth:`to_state`); ``self`` is left untouched.  A state tagged
+        with any codec but ``sparse-binary`` — ``dense-json``, or no tag
+        at all (written before the codec layer) — raises ``ValueError``
+        before anything is decoded.  Spawns one sibling and loads the
+        state into it in place."""
         sibling = self.spawn_sibling()
         sibling._load_state(state)
         return sibling
@@ -295,7 +283,7 @@ class MergeableSketch(ABC):
             raise ValueError("not a repro sketch state")
         if state.get("version") != STATE_VERSION:
             raise ValueError(f"unsupported state version {state.get('version')!r}")
-        if state.get("codec", DEFAULT_CODEC) not in CODECS:
+        if state.get("codec") != STATE_CODEC:
             raise ValueError(f"unknown state codec {state.get('codec')!r}")
         if state.get("sketch") != type(self).__name__:
             raise ValueError(
@@ -314,6 +302,6 @@ class MergeableSketch(ABC):
         :mod:`repro.core.ingest_plan`).  Plans hold direct views into a
         structure's internal tables, so every protocol operation that
         replaces or rebinds state — ``from_state`` payload loads, merges,
-        codec round-trips, sibling spawns — must call this before the next
+        state round-trips, sibling spawns — must call this before the next
         ingest chunk.  The base sketch caches no plan, so this is a no-op
         hook; estimator layers that fuse their fan-out override it."""

@@ -1,88 +1,42 @@
-"""Pluggable state codecs: how sketch state crosses the wire.
+"""The state codec: how sketch state crosses the wire.
 
 Every sketch state is, at bottom, a handful of numpy arrays and integer
-maps.  ``to_state()`` historically shipped them one way — dense JSON
-lists — which is exact and portable but pays for every zero cell in a
-mostly-empty table.  This module makes the encoding a negotiated choice.
-Two codecs:
+maps.  One codec, ``sparse-binary``, encodes them all: only the nonzero
+cells of each array, as a flat-index buffer and a value buffer.  Both are
+nested ``binary`` array specs — raw little-endian ndarray buffers,
+base64-embedded (``"b64"``) inside a JSON document.  Across the socket
+and file transports the wire layer (:mod:`repro.distributed.wire`) lifts
+them out into a raw binary frame, so the bytes ship unencoded.  Integer
+maps become a pair of int64 key/value buffers, integer counter lists an
+index/value pair over their nonzero positions.  Short-period streaming
+deltas touch a few dozen cells of multi-thousand-cell tables, so these
+frames stay small (see ``S4_CODEC`` in
+``benchmarks/bench_s4_distributed.py``).
 
-``dense-json``
-    The original format and the compatibility baseline: arrays as nested
-    ``tolist()`` JSON (``{"__ndarray__": [...], "dtype", "shape"}``),
-    integer maps as sorted ``[key, value]`` pairs.  Stays the default and
-    the readable form; states written before the codec layer existed
-    decode as this.
-``sparse-binary``
-    The compact wire codec: only the nonzero cells of each array, as a
-    flat-index buffer and a value buffer.  Both are nested ``binary``
-    array specs — raw little-endian ndarray buffers, base64-embedded
-    (``"b64"``) inside a JSON document.  Across the socket and file
-    transports the wire layer (:mod:`repro.distributed.wire`) lifts them
-    out into a raw binary frame, so the bytes ship unencoded.  Integer
-    maps become a pair of int64 key/value buffers.  Short-period
-    streaming deltas touch a few dozen cells of multi-thousand-cell
-    tables, so these frames shrink dramatically (see ``S4_CODEC`` in
-    ``benchmarks/bench_s4_distributed.py``).
-
-Decoding never needs to be told the codec: every encoded value is
-self-describing (dispatch on its ``"codec"`` tag, with the untagged
-``"__ndarray__"`` form meaning dense-json), so a coordinator can merge
-frames from workers running different codecs.  Both codecs are *exact* —
-float64 survives JSON via shortest-repr round-tripping, sparse-binary
-ships the very bytes and reinstates explicit zeros — which is what keeps
-the distributed equality gates bit-for-bit under any codec mix.  The
-sparse decoders reject index and key buffers that are not strictly
-increasing and in range, so a corrupt payload raises ``ValueError``
-instead of silently wrapping, overwriting or dropping cells.
-
-Codec selection threads through nested ``_state_payload()`` calls via a
-context variable: ``to_state(codec=...)`` activates the codec, and every
-helper below (and every sub-sketch ``to_state()``) inherits it.
+The codec is *exact*: it ships the very bytes and reinstates explicit
+zeros, which is what keeps the distributed equality gates bit for bit.
+Maps and lists holding a value outside int64 (arbitrary-precision
+counters) keep the plain ``[key, value]`` pair-list or list form, so
+exactness never depends on a counter's magnitude.  Every encoded value is
+self-describing (dispatch on its ``"codec"`` tag).  The sparse decoders
+reject index and key buffers that are not strictly increasing and in
+range, so a corrupt payload raises ``ValueError`` instead of silently
+wrapping, overwriting or dropping cells.
 """
 
 from __future__ import annotations
 
 import base64
-import contextlib
-from contextvars import ContextVar
-from typing import Any, Dict, Iterable, Iterator, List
+from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
-#: The negotiated codec names, in compatibility order: ``dense-json`` is
-#: the historical wire format and stays the default.
-CODECS = ("dense-json", "sparse-binary")
-DEFAULT_CODEC = "dense-json"
-
-_ACTIVE: ContextVar[str | None] = ContextVar("repro-state-codec", default=None)
+#: The state codec every ``to_state()`` writes and every ``from_state``
+#: accepts, recorded in each state's ``"codec"`` field.
+STATE_CODEC = "sparse-binary"
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-
-
-def resolve_codec(codec: str | None) -> str:
-    """Explicit codec name, or the active one (``dense-json`` at top
-    level) when ``codec`` is ``None`` — how nested ``to_state()`` calls
-    inherit the outer selection."""
-    if codec is None:
-        return _ACTIVE.get() or DEFAULT_CODEC
-    if codec not in CODECS:
-        raise ValueError(f"codec must be one of {CODECS}, got {codec!r}")
-    return codec
-
-
-def active_codec() -> str:
-    return _ACTIVE.get() or DEFAULT_CODEC
-
-
-@contextlib.contextmanager
-def use_codec(codec: str) -> Iterator[str]:
-    """Activate ``codec`` for the dynamic extent of a ``to_state()``."""
-    token = _ACTIVE.set(resolve_codec(codec))
-    try:
-        yield _ACTIVE.get()  # type: ignore[misc]
-    finally:
-        _ACTIVE.reset(token)
 
 
 # ------------------------------------------------------------------ arrays
@@ -109,23 +63,16 @@ def _binary_spec(arr: np.ndarray) -> dict:
 
 
 def encode_array(arr: np.ndarray) -> dict:
-    """Encode a numpy array under the active codec.  Both forms are
-    exact: dense float64 values round-trip through JSON's shortest-repr
-    serialization, sparse-binary ships the raw buffers."""
-    if active_codec() == "sparse-binary":
-        flat = np.ascontiguousarray(arr).reshape(-1)
-        indices = np.flatnonzero(flat)
-        return {
-            "codec": "sparse-binary",
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "indices": _binary_spec(indices.astype(np.int64, copy=False)),
-            "values": _binary_spec(flat[indices]),
-        }
+    """Encode a numpy array: its nonzero cells' flat indices and values,
+    as raw buffers."""
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    indices = np.flatnonzero(flat)
     return {
-        "__ndarray__": arr.tolist(),
+        "codec": STATE_CODEC,
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
+        "indices": _binary_spec(indices.astype(np.int64, copy=False)),
+        "values": _binary_spec(flat[indices]),
     }
 
 
@@ -187,7 +134,7 @@ def _require_size(declared, expected, what: str) -> None:
 
 
 def decode_array(spec: dict, shape: tuple | None = None) -> np.ndarray:
-    """Decode any codec's array spec (self-describing dispatch).  A state
+    """Decode a ``binary`` or ``sparse-binary`` array spec.  A state
     receiver passes its table's ``shape``; any other declared shape raises
     ``ValueError`` before anything is allocated.  Nested index and value
     buffers decode without one: the bytes received bound their size."""
@@ -200,12 +147,9 @@ def decode_array(spec: dict, shape: tuple | None = None) -> np.ndarray:
         # frombuffer views are read-only; states must stay mutable (they
         # are merged into) and native-endian.
         return arr.astype(dtype.newbyteorder("="), copy=True)
-    if codec == "sparse-binary":
+    if codec == STATE_CODEC:
         return _sparse_cells(spec, int(np.prod(declared)), spec["dtype"]).reshape(declared)
-    if codec is not None:
-        raise ValueError(f"unknown array codec {codec!r}")
-    arr = np.asarray(spec["__ndarray__"], dtype=np.dtype(spec["dtype"]))
-    return arr.reshape(declared)
+    raise ValueError(f"unknown array codec {codec!r}")
 
 
 # ---------------------------------------------------------------- int maps
@@ -221,22 +165,21 @@ def _int64_pack(values: Iterable[int]) -> np.ndarray | None:
 
 
 def encode_int_map(mapping: Dict[int, Any]) -> "list | dict":
-    """A dict with integer keys, under the active codec.  The dense codec
-    uses the canonical sorted ``[key, value]`` pair list; sparse-binary
-    packs keys and values into int64 buffers when they fit (a map is
-    sparse already, so plain buffers need no index layer)."""
+    """A dict with integer keys: keys and values packed into int64
+    buffers when they fit (a map is sparse already, so plain buffers need
+    no index layer), else the canonical sorted ``[key, value]`` pair
+    list."""
     keys = sorted(mapping)
-    if active_codec() == "sparse-binary":
-        packed_keys = _int64_pack(keys)
-        packed_values = _int64_pack(
-            int(mapping[k]) for k in keys
-        ) if all(isinstance(mapping[k], int) for k in keys) else None
-        if packed_keys is not None and packed_values is not None:
-            return {
-                "codec": "binary-map",
-                "keys": _binary_spec(packed_keys),
-                "values": _binary_spec(packed_values),
-            }
+    packed_keys = _int64_pack(keys)
+    packed_values = _int64_pack(
+        int(mapping[k]) for k in keys
+    ) if all(isinstance(mapping[k], int) for k in keys) else None
+    if packed_keys is not None and packed_values is not None:
+        return {
+            "codec": "binary-map",
+            "keys": _binary_spec(packed_keys),
+            "values": _binary_spec(packed_values),
+        }
     return [[int(k), mapping[k]] for k in keys]
 
 
@@ -252,13 +195,12 @@ def decode_int_map(encoded: "Iterable | dict") -> Dict[int, Any]:
 # --------------------------------------------------------------- int lists
 
 def encode_int_list(values: "List[int] | Iterable[int]") -> "list | dict":
-    """A fixed-length list of integer counters, under the active codec:
-    dense ships the plain list, sparse-binary packs only the nonzero
-    positions into index/value int64 buffers.  Values outside int64
-    (arbitrary-precision Python ints) fall back to the plain list under
-    both codecs, so exactness never depends on the counter magnitude."""
+    """A fixed-length list of integer counters: only the nonzero
+    positions, packed into index/value int64 buffers.  Values outside
+    int64 (arbitrary-precision Python ints) fall back to the plain list,
+    so exactness never depends on the counter magnitude."""
     out = [int(v) for v in values]
-    if active_codec() == "sparse-binary" and _int64_pack(out) is not None:
+    if _int64_pack(out) is not None:
         indices = [i for i, v in enumerate(out) if v != 0]
         return {
             "codec": "sparse-binary-list",

@@ -20,12 +20,18 @@ class RandomSource:
     (see :meth:`resolved`) reproduces every child and every draw exactly.
     The mergeable-sketch protocol leans on this: two sketches built from the
     same lineage hold identical hash functions, so their states add.
+
+    The generator is built on the first draw: most sources only derive
+    children, and a draw stream depends on nothing but the lineage, so
+    building it late changes no draw.  Sources draw while sketches are
+    constructed, never while they ingest, so no ingest thread races the
+    first build.
     """
 
     def __init__(self, seed: int | None = None, label: str = "root"):
         self.label = label
         self.seed = 0x5EED if seed is None else int(seed)
-        self._gen = np.random.default_rng(self._mix(self.seed, label))
+        self._gen: np.random.Generator | None = None
 
     @staticmethod
     def _mix(seed: int, label: str) -> int:
@@ -34,6 +40,8 @@ class RandomSource:
 
     @property
     def generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.default_rng(self._mix(self.seed, self.label))
         return self._gen
 
     @property
@@ -54,20 +62,20 @@ class RandomSource:
         return RandomSource(self.seed, f"{self.label}/{label}")
 
     def integers(self, low: int, high: int, size: int | None = None):
-        return self._gen.integers(low, high, size=size)
+        return self.generator.integers(low, high, size=size)
 
     def random(self, size: int | None = None):
-        return self._gen.random(size=size)
+        return self.generator.random(size=size)
 
     def choice(self, options, size: int | None = None, replace: bool = True):
-        return self._gen.choice(options, size=size, replace=replace)
+        return self.generator.choice(options, size=size, replace=replace)
 
     def shuffle(self, items) -> None:
-        self._gen.shuffle(items)
+        self.generator.shuffle(items)
 
     def signs(self, size: int):
         """Uniform +-1 array."""
-        return self._gen.integers(0, 2, size=size) * 2 - 1
+        return self.generator.integers(0, 2, size=size) * 2 - 1
 
 
 class ResolvedSource(RandomSource):

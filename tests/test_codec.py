@@ -1,4 +1,4 @@
-"""Codec payload validation: the two state codecs and the tags they dropped.
+"""Codec payload validation: the one state codec and the tags it dropped.
 
 The sparse decoders scatter shipped values into freshly zeroed tables, so
 a corrupt index buffer would otherwise wrap (negative indices), overwrite
@@ -8,7 +8,7 @@ round and the snapshot store already handle — before anything merges.
 So must a state whose table ``shape`` or list ``length`` declares more
 cells than its receiver holds, before the decoder allocates them: each
 case runs under ``tracemalloc`` with a 1 MiB peak budget.  States tagged
-with a deleted codec fail the same way, at the tag check.
+with a deleted codec, or with none, fail the same way, at the tag check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.core.gnp import GnpHeavyHitterSketch
 from repro.distributed.coordinator import RoundCoordinator
 from repro.sketch.ams import AmsF2Sketch
 from repro.sketch.codec import (
-    CODECS,
+    STATE_CODEC,
     _binary_spec,
     binary_payload_bytes,
     decode_array,
@@ -130,7 +130,7 @@ def _case(case):
     name, cells = OVERSIZED[case]
     build, path = RECEIVERS[name]
     receiver = build()
-    state = receiver.to_state(codec="sparse-binary")
+    state = receiver.to_state()
     spec = state["payload"]
     for key in path:
         spec = spec[key]
@@ -165,28 +165,36 @@ def _filled_countsketch() -> CountSketch:
 
 
 class TestDroppedCodecs:
-    @pytest.mark.parametrize("codec", ("sparse", "binary"))
+    @pytest.mark.parametrize("codec", ("sparse", "binary", "dense-json"))
     def test_encoding_under_a_dropped_codec_is_refused(self, codec):
-        assert CODECS == ("dense-json", "sparse-binary")
-        with pytest.raises(ValueError, match="codec must be one of"):
-            _filled_countsketch().to_state(codec=codec)
+        """No argument picks a codec: every state is ``sparse-binary``."""
+        sketch = _filled_countsketch()
+        with pytest.raises(TypeError, match="codec"):
+            sketch.to_state(codec=codec)
+        assert sketch.to_state()["codec"] == STATE_CODEC == "sparse-binary"
 
-    @pytest.mark.parametrize("codec", ("sparse", "binary"))
-    def test_dropped_codec_state_fails_before_decoding(self, codec):
-        """Version skew: a peer still running a deleted codec ships a
-        state the tag check rejects before any payload is read."""
+    @pytest.mark.parametrize(
+        "codec", ("sparse", "binary", "dense-json", None),
+        ids=("sparse", "binary", "dense-json", "untagged"),
+    )
+    def test_dropped_codec_state_fails_before_decoding(self, codec, peer_state):
+        """Version skew: a peer still running a deleted codec, or one that
+        writes no tag at all, ships a state the tag check rejects before
+        any payload is read — also when loaded in place."""
         sketch = _filled_countsketch()
         before = sketch.to_state()
-        state = dict(sketch.to_state(codec="sparse-binary"), codec=codec)
+        state = peer_state(sketch, codec)
         with pytest.raises(ValueError, match="unknown state codec"):
             sketch.from_state(state)
+        with pytest.raises(ValueError, match="unknown state codec"):
+            sketch._load_state(state)
         assert sketch.to_state() == before
 
 
 def test_corrupt_delta_frame_leaves_coordinator_untouched():
     structure = _filled_countsketch()
     before = structure.to_state()
-    state = _filled_countsketch().to_state(codec="sparse-binary")
+    state = _filled_countsketch().to_state()
     state["payload"]["table"]["indices"] = _binary_spec(np.asarray([-1, 5]))
     coordinator = RoundCoordinator(structure, channel=None, workers=1)
     with pytest.raises(ValueError, match="lie in"):
@@ -207,7 +215,7 @@ mutation = st.tuples(
 
 
 def _mutated_state(sketch: CountSketch, mutations) -> dict:
-    state = sketch.to_state(codec="sparse-binary")
+    state = sketch.to_state()
     for (field, part), kind, offset, data in mutations:
         spec = state["payload"][field][part]
         raw = bytearray(binary_payload_bytes(spec))

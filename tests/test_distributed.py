@@ -7,13 +7,13 @@ ingestion — for a raw sketch and for the full ``GSumEstimator`` — and the
 coordinated two-pass **round protocol** (``distributed_two_pass()``, one
 state frame per round or streaming delta merges) reproduces
 single-machine 2-pass ``GSumEstimator.run()`` bit for bit over the same
-matrix.  The same gates cover the process merge tree at every width,
-the sparse-binary codec, and codec-negotiated fleets.  Plus the protocol
-pieces: framing, envelope validation (malformed binary frames included),
-failure propagation (worker crash mid-round, duplicate/stale frames,
-compat rejection of candidate broadcasts, corrupt frames re-raised from
-the merge pool), tmp-file GC for killed workers, poll back-off, the
-many-files-per-worker mode, and the CLI commands.
+matrix.  Plus version skew (an older worker's ``dense-json`` frame fails
+its round; an older coordinator's ``codec`` advertisement is ignored) and
+the protocol pieces: framing, envelope validation (malformed binary
+frames included), failure propagation (worker crash mid-round,
+duplicate/stale frames, compat rejection of candidate broadcasts),
+tmp-file GC for killed workers, poll back-off, the many-files-per-worker
+mode, and the CLI commands.
 """
 
 import json
@@ -29,7 +29,6 @@ from repro.core.gsum import GSumEstimator
 from repro.distributed import (
     FileTransport,
     FileWorkerSession,
-    MergePool,
     RoundCoordinator,
     RoundTracker,
     SocketHub,
@@ -54,7 +53,7 @@ from repro.distributed.specs import build_sketch
 from repro.distributed.wire import BINARY_MAGIC, LENGTH_PREFIX
 from repro.functions.library import moment
 from repro.sketch.base import dumps_state
-from repro.sketch.codec import CODECS
+from repro.sketch.codec import STATE_CODEC
 from repro.sketch.countsketch import CountSketch
 from repro.streams.batching import drive
 from repro.streams.generators import zipf_stream
@@ -77,7 +76,7 @@ def fresh_estimator(**kwargs):
     return GSumEstimator(G2, N, heaviness=0.15, repetitions=2, seed=5, **kwargs)
 
 
-def coordinate_states(structure, box, states, merge_workers=0):
+def coordinate_states(structure, box, states):
     """Ship each state as worker ``i``'s single round-1 frame through the
     drop-box ``box``, then merge them into ``structure`` as a one-round
     session; returns ``structure``."""
@@ -85,8 +84,7 @@ def coordinate_states(structure, box, states, merge_workers=0):
         box.send_round(delta_message(worker, 1, 0, state))
         box.send_round(round_end_message(worker, 1, 1))
     return RoundCoordinator(
-        structure, box, workers=len(states), timeout=10.0,
-        merge_workers=merge_workers,
+        structure, box, workers=len(states), timeout=10.0
     ).run_single_pass()
 
 
@@ -232,62 +230,44 @@ class TestRoundProtocol:
             sequential.to_state()
         )
 
-    @pytest.mark.parametrize("codec", ("sparse-binary",))
-    def test_one_shot_codec_bit_identical(self, codec):
-        sequential = drive(fresh_countsketch(), STREAM)
-        merged = distributed_ingest(
-            fresh_countsketch(), STREAM, workers=2, transport="socket",
-            codec=codec,
-        )
-        assert dumps_state(merged.to_state()) == dumps_state(
-            sequential.to_state()
-        )
+    def test_two_pass_rejects_other_codecs(self):
+        with pytest.raises(ValueError, match="codec must be 'sparse-binary'"):
+            distributed_two_pass(
+                fresh_estimator(passes=2), STREAM, codec="dense-json"
+            )
 
-    def test_mixed_codec_fleet_merges(self, tmp_path):
-        """Workers on different codecs feed one coordinator: codec is a
-        per-frame property, not a session property, so a mixed fleet
-        still merges bit-for-bit."""
-        sequential = drive(fresh_countsketch(), STREAM)
+    def test_mixed_codec_fleet_fails_loudly(self, tmp_path, peer_state):
+        """A worker older than the coordinator ships ``dense-json``: the
+        coordinator refuses that frame before decoding it, so the round
+        fails with "unknown state codec" instead of merging wrongly."""
         items, deltas = STREAM.as_arrays()
-        codecs = CODECS * 2
-        for worker_id, codec in enumerate(codecs):
-            part = worker_slice(items, deltas, worker_id, len(codecs))
+        for worker_id in range(2):
+            part = worker_slice(items, deltas, worker_id, 3)
             run_worker_rounds(
                 fresh_countsketch(), part[0], part[1], worker_id,
-                FileWorkerSession(tmp_path / "rv"), codec=codec,
+                FileWorkerSession(tmp_path / "rv"),
             )
-        merged = fresh_countsketch()
-        RoundCoordinator(
-            merged, FileTransport(tmp_path / "rv", poll_interval=0.01),
-            workers=len(codecs), timeout=10.0,
-        ).run_single_pass()
-        assert dumps_state(merged.to_state()) == dumps_state(
-            sequential.to_state()
-        )
+        old = fresh_countsketch()
+        old.update_batch(*worker_slice(items, deltas, 2, 3))
+        box = FileWorkerSession(tmp_path / "rv")
+        box.send(delta_message(2, 1, 0, peer_state(old, "dense-json")))
+        box.send(round_end_message(2, 1, 1))
+        with pytest.raises(ValueError, match="unknown state codec"):
+            RoundCoordinator(
+                fresh_countsketch(),
+                FileTransport(tmp_path / "rv", poll_interval=0.01),
+                workers=3, timeout=10.0,
+            ).run_single_pass()
 
-    def test_codec_negotiation_bit_identical(self, tmp_path):
-        """A fleet launched without an explicit codec adopts whatever the
-        coordinator advertises in its round-2 broadcast; the merged result
-        stays bit-identical to the single-machine run."""
-        sequential = sequential_two_pass()
-        dist = fresh_estimator(passes=2)
-        distributed_two_pass(
-            dist, STREAM, workers=2, transport="file", delta_every=500,
-            advertise_codec="sparse-binary", rendezvous=str(tmp_path / "rv"),
-        )
-        assert dist.estimate() == sequential.estimate()
-        assert dumps_state(dist.to_state()) == dumps_state(
-            sequential.to_state()
-        )
+    def test_worker_ignores_advertised_codec(self):
+        """An older coordinator advertises a ``codec`` in its round-2
+        broadcast.  The broadcast still validates, and the worker ships
+        every frame of both rounds under ``sparse-binary`` anyway."""
+        from repro.distributed.wire import validate_message
 
-    def test_negotiation_adopts_advertised_codec(self):
-        """Worker-side negotiation, observed on the wire: without an
-        explicit codec the round-2 frames ship under the advertised codec;
-        an explicit codec pins the worker regardless."""
         donor = fresh_estimator(passes=2)
         donor.process(STREAM)
         donor.begin_second_pass()
-        candidates = donor.export_candidates()
         items, deltas = STREAM.as_arrays()
 
         class ScriptedSession:
@@ -301,25 +281,19 @@ class TestRoundProtocol:
             def recv_broadcast(self, round_id, timeout):
                 return self.begin
 
-        for explicit, expected in ((None, "sparse-binary"),
-                                   ("dense-json", "dense-json")):
-            sibling = fresh_estimator(passes=2)
-            begin = round_begin_message(
-                2, sibling.compat_digest(), candidates, codec="sparse-binary"
-            )
-            session = ScriptedSession(begin)
-            run_worker_rounds(
-                sibling, items, deltas, 0, session, passes=2, codec=explicit
-            )
-            frames = [
-                m for m in session.sent
-                if m["type"] == "delta" and m["round"] == 2
-            ]
-            assert frames, "round 2 shipped no delta frames"
-            payload = json.dumps([f["state"] for f in frames])
-            assert f'"{expected}"' in payload
-            if expected == "dense-json":
-                assert '"sparse-binary"' not in payload
+        sibling = fresh_estimator(passes=2)
+        begin = validate_message(dict(
+            round_begin_message(
+                2, sibling.compat_digest(), donor.export_candidates()
+            ),
+            codec="dense-json",
+        ))
+        session = ScriptedSession(begin)
+        run_worker_rounds(sibling, items, deltas, 0, session, passes=2)
+        frames = [m for m in session.sent if m["type"] == "delta"]
+        assert {m["round"] for m in frames} == {1, 2}
+        assert all(m["state"]["codec"] == STATE_CODEC for m in frames)
+        assert '"dense-json"' not in json.dumps([m["state"] for m in frames])
 
     def test_round_summaries_recorded(self, tmp_path):
         dist = fresh_estimator(passes=2)
@@ -344,139 +318,6 @@ class TestRoundProtocol:
             distributed_two_pass(fresh_estimator(passes=1), STREAM)
         with pytest.raises(TypeError, match="candidate hooks"):
             distributed_two_pass(fresh_countsketch(), STREAM)
-
-
-class TestMergeTree:
-    """The parallel merge pipeline is bit-identical to serial merging —
-    any grouping of linear states folds to the same root."""
-
-    def _worker_states(self, workers=4):
-        items, deltas = STREAM.as_arrays()
-        states = []
-        for i in range(workers):
-            part_items, part_deltas = worker_slice(items, deltas, i, workers)
-            sibling = fresh_countsketch()
-            sibling.update_batch(part_items, part_deltas)
-            states.append(sibling.to_state())
-        return states
-
-    def _pool_fold(self, states, workers):
-        root = fresh_countsketch()
-        with MergePool(root, workers=workers) as pool:
-            for state in states:
-                pool.submit(state)
-            pool.drain()
-        return root
-
-    def test_merge_tree_equals_serial(self):
-        sequential = drive(fresh_countsketch(), STREAM)
-        serial = fresh_countsketch()
-        for state in self._worker_states():
-            serial.merge(serial.from_state(state))
-        treed = self._pool_fold(self._worker_states(), workers=3)
-        assert dumps_state(treed.to_state()) == dumps_state(serial.to_state())
-        assert dumps_state(treed.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-
-    def test_merge_states_parallel_path(self, tmp_path):
-        """The coordinator's parallel path: a one-round session whose
-        frames fan out over a 4-wide merge pool folds to the sequential
-        bits."""
-        sequential = drive(fresh_countsketch(), STREAM)
-        merged = coordinate_states(
-            fresh_countsketch(),
-            FileTransport(tmp_path / "rv", poll_interval=0.01),
-            self._worker_states(), merge_workers=4,
-        )
-        assert dumps_state(merged.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-
-    def test_pool_streaming_submissions(self):
-        """Frames submitted one by one (the streaming shape) drain to the
-        same bits as a batch fold."""
-        sequential = drive(fresh_countsketch(), STREAM)
-        root = fresh_countsketch()
-        with MergePool(root, workers=3) as pool:
-            for state in self._worker_states(7):
-                pool.submit(state)
-            pool.drain()
-        assert dumps_state(root.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-        assert pool.merged_frames == 7
-
-    def test_pool_surfaces_bad_states(self):
-        """A non-sibling state re-raises from ``drain()`` — the failure
-        crosses the pool boundary instead of deadlocking a child."""
-        root = fresh_countsketch()
-        imposter = CountSketch(5, 256, track=16, seed=10)  # wrong lineage
-        with MergePool(root, workers=2) as pool:
-            pool.submit(imposter.to_state())
-            with pytest.raises(ValueError, match="different configuration"):
-                pool.drain()
-
-    def test_pool_surfaces_corrupt_payload(self):
-        """A structurally broken state dict (e.g. a torn frame) re-raises
-        from ``drain()``, never hangs the pool."""
-        root = fresh_countsketch()
-        corrupt = dict(fresh_countsketch().to_state(), payload={"torn": True})
-        with MergePool(root, workers=2) as pool:
-            pool.submit(corrupt)
-            with pytest.raises((KeyError, ValueError)):
-                pool.drain()
-
-    def test_single_worker_pool_equals_serial(self):
-        """A one-child tree folds to the serial bits."""
-        sequential = drive(fresh_countsketch(), STREAM)
-        treed = self._pool_fold(self._worker_states(5), workers=1)
-        assert dumps_state(treed.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-
-    def test_pool_rejects_bad_width(self):
-        with pytest.raises(ValueError, match="positive"):
-            MergePool(fresh_countsketch(), workers=0)
-
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_two_pass_merge_workers_bit_identical(self, transport, tmp_path):
-        """The acceptance gate: a merge-tree coordinator drives the full
-        round protocol to the same bits as the serial coordinator."""
-        sequential = sequential_two_pass()
-        rendezvous = str(tmp_path / "rv") if transport == "file" else None
-        dist = fresh_estimator(passes=2)
-        distributed_two_pass(
-            dist, STREAM, workers=4, transport=transport, delta_every=400,
-            merge_workers=4, rendezvous=rendezvous,
-        )
-        assert dumps_state(dist.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_two_pass_process_merge_bit_identical(self, workers, tmp_path):
-        """A 2-child merge tree drives the full round protocol to the
-        same bits as the serial coordinator, at k in {2, 4}."""
-        sequential = sequential_two_pass()
-        dist = fresh_estimator(passes=2)
-        distributed_two_pass(
-            dist, STREAM, workers=workers, transport="file", delta_every=400,
-            merge_workers=2, rendezvous=str(tmp_path / "rv"),
-        )
-        assert dumps_state(dist.to_state()) == dumps_state(
-            sequential.to_state()
-        )
-
-    def test_one_shot_process_merge_bit_identical(self):
-        sequential = drive(fresh_countsketch(), STREAM)
-        merged = distributed_ingest(
-            fresh_countsketch(), STREAM, workers=4, transport="socket",
-            merge_workers=2,
-        )
-        assert dumps_state(merged.to_state()) == dumps_state(
-            sequential.to_state()
-        )
 
 
 class TestDeltaSkipping:
@@ -656,7 +497,7 @@ class TestBinaryWire:
 
     def test_binary_frame_socket_round_trip(self):
         original = drive(fresh_countsketch(), STREAM)
-        message = delta_message(0, 1, 0, original.to_state(codec="sparse-binary"))
+        message = delta_message(0, 1, 0, original.to_state())
         a, b = socket.socketpair()
         try:
             send_frame(a, message)
@@ -670,7 +511,7 @@ class TestBinaryWire:
     def test_binary_frame_smaller_than_base64_json(self):
         from repro.distributed.wire import dumps_frame, dumps_message
 
-        state = drive(fresh_countsketch(), STREAM).to_state(codec="sparse-binary")
+        state = drive(fresh_countsketch(), STREAM).to_state()
         message = delta_message(0, 1, 0, state)
         assert len(dumps_frame(message)) < len(dumps_message(message))
 
@@ -679,24 +520,34 @@ class TestBinaryWire:
         merged = coordinate_states(
             fresh_countsketch(),
             FileTransport(tmp_path / "rv", poll_interval=0.01),
-            [original.to_state(codec="sparse-binary")],
+            [original.to_state()],
         )
         assert dumps_state(merged.to_state()) == dumps_state(
             original.to_state()
         )
 
-    def test_json_frames_unchanged_for_other_codecs(self):
+    def test_json_frames_for_buffer_free_messages(self):
+        """A message with no binary buffer to lift ships as its plain JSON
+        document: envelopes without state, and a state whose one map holds
+        a count beyond int64 (the exact pair-list form)."""
         from repro.distributed.wire import dumps_frame, dumps_message
+        from repro.sketch.exact import ExactCounter
 
-        message = delta_message(
-            0, 1, 0, drive(fresh_countsketch(), STREAM).to_state(codec="dense-json")
-        )
-        assert dumps_frame(message) == dumps_message(message)
+        counter = ExactCounter(N)
+        counter.update(3, 1 << 70)
+        state = counter.to_state()
+        assert state["payload"]["counts"] == [[3, 1 << 70]]
+        for message in (
+            delta_message(0, 1, 0, state),
+            delta_skipped_message(0, 1, 1),
+            round_end_message(0, 1, 2),
+        ):
+            assert dumps_frame(message) == dumps_message(message)
 
     def test_truncated_binary_frame_rejected(self):
         from repro.distributed.wire import dumps_frame, loads_frame
 
-        state = drive(fresh_countsketch(), STREAM).to_state(codec="sparse-binary")
+        state = drive(fresh_countsketch(), STREAM).to_state()
         frame = dumps_frame(delta_message(0, 1, 0, state))
         with pytest.raises(ValueError, match="trailing bytes"):
             loads_frame(frame + b"\x00")
@@ -1157,13 +1008,15 @@ class TestWire:
             )
 
     def test_round_begin_codec_advertisement(self):
+        """A current coordinator advertises no codec; an older one's
+        ``codec`` field, of any value, still validates."""
         from repro.distributed.wire import validate_message
 
-        begin = round_begin_message(2, "abcd", {"reps": []}, codec="sparse-binary")
-        assert validate_message(begin)["codec"] == "sparse-binary"
-        assert "codec" not in round_begin_message(2, "abcd", {"reps": []})
-        with pytest.raises(ValueError, match="codec"):
-            validate_message(dict(begin, codec=7))
+        begin = round_begin_message(2, "abcd", {"reps": []})
+        assert "codec" not in begin
+        for advertised in ("dense-json", "sparse-binary", 7):
+            message = validate_message(dict(begin, codec=advertised))
+            assert message["codec"] == advertised
 
 
 class TestTransports:
@@ -1348,68 +1201,40 @@ class TestCli:
                  "--rendezvous", str(rendezvous)]
             ))
 
-    @pytest.mark.parametrize("codec", ("sparse-binary",))
-    def test_codec_flag_round_trip(self, tmp_path, capsys, codec):
-        """``repro worker --codec`` frames merge on a ``repro coordinate
-        --merge-workers`` coordinator to the single-machine bits."""
+    def test_round_trip_reports_state_bytes(self, tmp_path, capsys):
+        """The coordinator reports the merged state's size, which equals
+        the single-machine state's, since the two are the same bits."""
         stream_path = tmp_path / "stream.jsonl"
         save_stream(STREAM, stream_path)
         rendezvous = str(tmp_path / "rv")
         for worker_id in (0, 1):
             code = main(self._args(
                 ["worker", str(stream_path), "--worker-id", str(worker_id),
-                 "--workers", "2", "--codec", codec,
-                 "--rendezvous", rendezvous]
+                 "--workers", "2", "--rendezvous", rendezvous]
             ))
             assert code == 0
         code = main(self._args(
             ["coordinate", "--workers", "2", "--rendezvous", rendezvous,
-             "--codec", codec, "--merge-workers", "2",
              "--verify-stream", str(stream_path)]
         ))
         out = capsys.readouterr().out
+        single = drive(build_sketch({"kind": "countsketch", "rows": 3,
+                                     "buckets": 128, "track": 8, "seed": 7}),
+                       STREAM)
         assert code == 0
-        assert f"state bytes ({codec})" in out
+        assert f"state bytes: {len(dumps_state(single.to_state())):,}" in out
         assert "identical to single-machine ingestion: True" in out
 
-    def test_two_pass_codec_and_merge_tree_cli(self, tmp_path, capsys):
-        """The round protocol under ``--codec sparse-binary --delta-every``
-        with a merge-tree coordinator, end to end through the CLI."""
+    def _two_pass_delta_fleet(self, tmp_path, transport, rendezvous) -> int:
+        """Two CLI workers and a CLI coordinator run the two-pass round
+        protocol with streaming deltas; returns the coordinator's exit
+        code."""
         stream_path = tmp_path / "stream.jsonl"
         save_stream(STREAM, stream_path)
-        rendezvous = str(tmp_path / "rv")
         flags = ["--sketch", "gsum", "--function", "x^2", "--n", str(N),
                  "--heaviness", "0.15", "--repetitions", "2", "--seed", "5",
-                 "--passes", "2", "--delta-every", "400",
-                 "--codec", "sparse-binary", "--rendezvous", rendezvous]
-        threads = [
-            threading.Thread(target=main, args=(
-                ["worker", str(stream_path), "--worker-id", str(i),
-                 "--workers", "2", *flags],
-            ))
-            for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        code = main(["coordinate", "--workers", "2", "--merge-workers", "3",
-                     "--verify-stream", str(stream_path), *flags])
-        for t in threads:
-            t.join()
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "identical to single-machine ingestion: True" in out
-
-    def test_two_pass_negotiation_process_merge_cli(self, tmp_path, capsys):
-        """End to end through the CLI: workers with no ``--codec`` (they
-        negotiate), a coordinator advertising sparse-binary and merging
-        through the process tree."""
-        stream_path = tmp_path / "stream.jsonl"
-        save_stream(STREAM, stream_path)
-        rendezvous = str(tmp_path / "rv")
-        flags = ["--sketch", "gsum", "--function", "x^2", "--n", str(N),
-                 "--heaviness", "0.15", "--repetitions", "2", "--seed", "5",
-                 "--passes", "2", "--delta-every", "400",
-                 "--transport", "file", "--rendezvous", rendezvous]
+                 "--passes", "2", "--delta-every", "400", "--timeout", "30",
+                 "--transport", transport, "--rendezvous", rendezvous]
         threads = [
             threading.Thread(target=main, args=(
                 ["worker", str(stream_path), "--worker-id", str(i),
@@ -1420,10 +1245,26 @@ class TestCli:
         for t in threads:
             t.start()
         code = main(["coordinate", "--workers", "2",
-                     "--codec", "sparse-binary", "--merge-workers", "2",
                      "--verify-stream", str(stream_path), *flags])
         for t in threads:
-            t.join()
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        return code
+
+    def test_two_pass_delta_cli(self, tmp_path, capsys):
+        """The two-pass round protocol with ``--delta-every``, end to end
+        through the CLI over the file transport."""
+        code = self._two_pass_delta_fleet(tmp_path, "file", str(tmp_path / "rv"))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "identical to single-machine ingestion: True" in out
+
+    def test_two_pass_delta_cli_socket(self, tmp_path, capsys):
+        """The same fleet over the socket transport."""
+        with socket.socket() as probe:  # a free port for the hub
+            probe.bind(("127.0.0.1", 0))
+            rendezvous = f"127.0.0.1:{probe.getsockname()[1]}"
+        code = self._two_pass_delta_fleet(tmp_path, "socket", rendezvous)
         out = capsys.readouterr().out
         assert code == 0
         assert "identical to single-machine ingestion: True" in out
@@ -1440,7 +1281,7 @@ class TestCli:
         threads = [
             threading.Thread(target=main, args=(self._args(
                 ["worker", str(stream_path), "--worker-id", str(i),
-                 "--workers", "2", "--codec", "sparse-binary", *flags]
+                 "--workers", "2", *flags]
             ),))
             for i in range(2)
         ]

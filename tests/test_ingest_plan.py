@@ -3,9 +3,9 @@
 The ingest plan reorders integer-valued float64 additions (exact below
 2^53) and evaluates the same hash families through stacked coefficient
 banks, so every test here demands *exact* equality — full serialized
-state under the dense codec, estimates, and frequency answers — never
+state (exact float64 bytes), estimates, and frequency answers — never
 approximate closeness.  The suite covers both passes, the universal
-wrappers, every codec round-trip mid-stream, and each protocol operation
+wrappers, a state round-trip mid-stream, and each protocol operation
 that must invalidate the plan (``merge``, ``spawn_sibling``,
 ``from_state``, ``begin_second_pass``, ``import_candidates``).
 
@@ -26,7 +26,6 @@ from repro.core import ingest_plan
 from repro.core.gsum import GSumEstimator
 from repro.core.universal import TwoPassUniversalSketch, UniversalGSumSketch
 from repro.functions.library import moment
-from repro.sketch.codec import CODECS
 from repro.sketch.hashing import KWiseHash, SignHash, StackedKWiseBank
 from repro.util.rng import as_source
 
@@ -55,7 +54,7 @@ def _pair(seed: int, passes: int = 1, **kw):
 
 
 def _state(est) -> str:
-    return json.dumps(est.to_state(codec="dense-json"), sort_keys=True)
+    return json.dumps(est.to_state(), sort_keys=True)
 
 
 def _feed(est, items, deltas, chunk: int = CHUNK, second_pass: bool = False) -> None:
@@ -313,8 +312,7 @@ class TestMemoBudget:
 
 
 class TestInvalidationPaths:
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_codec_roundtrip_mid_stream(self, codec):
+    def test_codec_roundtrip_mid_stream(self):
         fused, legacy = _pair(31)
         items, deltas = _stream(8)
         half = items.shape[0] // 2
@@ -323,8 +321,8 @@ class TestInvalidationPaths:
         # Round-trip rebinds every table array, severing the plane views;
         # the plan must detect it and rebuild rather than scatter into a
         # dead plane.
-        fused = fused.spawn_sibling().from_state(fused.to_state(codec=codec))
-        legacy = legacy.spawn_sibling().from_state(legacy.to_state(codec=codec))
+        fused = fused.spawn_sibling().from_state(fused.to_state())
+        legacy = legacy.spawn_sibling().from_state(legacy.to_state())
         _feed(fused, items[half:], deltas[half:])
         _oracle_feed(legacy, items[half:], deltas[half:])
         _assert_twin(fused, legacy)
@@ -367,8 +365,8 @@ class TestInvalidationPaths:
         _oracle_feed(legacy, items, deltas)
         for est in (fused, legacy):
             est.begin_second_pass()
-        fused = fused.spawn_sibling().from_state(fused.to_state(codec="dense-json"))
-        legacy = legacy.spawn_sibling().from_state(legacy.to_state(codec="dense-json"))
+        fused = fused.spawn_sibling().from_state(fused.to_state())
+        legacy = legacy.spawn_sibling().from_state(legacy.to_state())
         _feed(fused, items, deltas, second_pass=True)
         _oracle_feed(legacy, items, deltas, second_pass=True)
         _assert_twin(fused, legacy)

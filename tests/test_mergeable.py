@@ -8,10 +8,10 @@ Five properties, enforced bit-for-bit:
   ``repro.streams.sharding``.
 * **State round-trip** — ``from_state(to_state())`` reconstructs an equal
   sketch, including through an actual JSON wire encoding.
-* **Codec invariance** — every implementer round-trips through every
-  state codec (dense-json, sparse-binary), and states encoded under
-  *different* codecs cross-decode and merge to the same bits (the
-  contract behind mixed-codec distributed fleets).
+* **One codec** — every implementer round-trips through the
+  ``sparse-binary`` state codec and decodes-then-merges to the same
+  bits, and refuses a ``dense-json`` state (what older workers shipped)
+  with "unknown state codec" before decoding or merging anything.
 * **Sibling discipline** — ``spawn_sibling`` yields an empty,
   merge-compatible clone; merging or loading state across different
   configurations or randomness lineages raises ``ValueError``.
@@ -38,7 +38,7 @@ from repro.core.universal import TwoPassUniversalSketch, UniversalGSumSketch
 from repro.functions.library import moment
 from repro.sketch.ams import AmsF2Sketch
 from repro.sketch.base import dumps_state, loads_state
-from repro.sketch.codec import CODECS
+from repro.sketch.codec import STATE_CODEC
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.exact import ExactCounter
@@ -164,24 +164,35 @@ class TestShardInvariance:
         assert observe(sharded) == observe(sequential)
 
 
-@pytest.mark.parametrize("codec", CODECS)
+#: The state codecs a peer may ship: ``dense-json``, which workers that
+#: predate the one codec wrote by default, and ``sparse-binary``.
+PEER_CODECS = ("dense-json", STATE_CODEC)
+
+
+@pytest.mark.parametrize("codec", PEER_CODECS)
 @pytest.mark.parametrize("build,observe", CASES, ids=IDS)
 class TestCodecMatrix:
-    """Every implementer × every codec: round-trip and cross-codec merge
-    must be bit-identical to the dense-json baseline."""
+    """Every implementer × every codec a peer may ship: a sparse-binary
+    state round-trips and decodes-then-merges bit for bit; a dense-json
+    state is refused before anything is decoded or merged."""
 
-    def test_codec_round_trip(self, build, observe, codec):
+    def test_codec_round_trip(self, build, observe, codec, peer_state):
         original = drive(build(), STREAM)
-        wire = dumps_state(original.to_state(codec=codec))
+        wire = dumps_state(peer_state(original, codec))
+        if codec != STATE_CODEC:
+            with pytest.raises(ValueError, match="unknown state codec"):
+                original.from_state(loads_state(wire))
+            return
         clone = original.from_state(loads_state(wire))
-        # The loaded sketch re-serializes to the same dense baseline bits.
         assert clone.to_state() == original.to_state()
         assert observe(clone) == observe(original)
 
-    def test_cross_codec_merge(self, build, observe, codec):
-        """Encode one shard's state under ``codec``, the other under
-        dense-json, load both, merge — identical to single-sketch
-        ingestion of the whole stream (a mixed-codec worker fleet)."""
+    def test_cross_codec_merge(self, build, observe, codec, peer_state):
+        """Decode one shard's shipped state, merge it, then the other
+        shard's under ``codec``.  Under sparse-binary the result equals
+        single-sketch ingestion of the whole stream; a dense-json shard
+        (a worker older than the coordinator) is refused and leaves the
+        merged state as the first shard left it."""
         updates = list(STREAM)
         half = len(updates) // 2
         first, second = build(), build()
@@ -189,11 +200,16 @@ class TestCodecMatrix:
         drive(second, iter(updates[half:]))
         merged = build()
         merged.merge(merged.from_state(loads_state(
-            dumps_state(first.to_state(codec=codec))
-        )))
-        merged.merge(merged.from_state(loads_state(
             dumps_state(second.to_state())
         )))
+        wire = dumps_state(peer_state(first, codec))
+        if codec != STATE_CODEC:
+            before = merged.to_state()
+            with pytest.raises(ValueError, match="unknown state codec"):
+                merged.merge(merged.from_state(loads_state(wire)))
+            assert merged.to_state() == before
+            return
+        merged.merge(merged.from_state(loads_state(wire)))
         sequential = drive(build(), STREAM)
         assert merged.to_state() == sequential.to_state()
         assert observe(merged) == observe(sequential)
@@ -244,7 +260,7 @@ def _write_everything(target, build):
 def _sibling(source, how):
     if how == "spawn":
         return source.spawn_sibling()
-    return source.from_state(source.to_state(codec="sparse-binary"))
+    return source.from_state(source.to_state())
 
 
 def _nested_states(value):
@@ -502,16 +518,6 @@ class TestDigestStrictness:
 
 
 class TestHashFamilyState:
-    def test_pre_codec_sketch_states_still_load(self):
-        """A ``to_state()`` dict written before the codec layer — no
-        ``"codec"`` tag, plain ``__ndarray__`` arrays and pair-list maps —
-        still loads bit-for-bit (old coordinators, archived states)."""
-        original = drive(CountSketch(3, 64, track=4, seed=9), STREAM)
-        legacy = json.loads(json.dumps(original.to_state()))
-        del legacy["codec"]
-        clone = original.from_state(legacy)
-        assert clone.to_state() == original.to_state()
-
     def test_different_seeds_different_fingerprints(self):
         from repro.sketch.hashing import KWiseHash
 

@@ -1,7 +1,7 @@
 """Property-based tests for merge/codec round-trip equivalence.
 
 Hypothesis drives arbitrary interleavings of ``update_batch``, ``merge``,
-and ``to_state -> from_state`` (under either state codec) across
+and ``to_state -> from_state`` round-trips across
 a small fleet of sibling shards, then folds the fleet into one sketch.
 The invariant: whatever the interleaving, the folded sketch is
 bit-identical — table, candidate pool, ranking — to a single sketch fed
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.gsum import GSumEstimator
 from repro.functions.library import moment
-from repro.sketch.codec import CODECS
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.countsketch import CountSketch
 
@@ -44,9 +43,7 @@ update_op = st.tuples(
 merge_op = st.tuples(
     st.just("merge"), st.integers(0, SHARDS - 1), st.integers(0, SHARDS - 1)
 )
-roundtrip_op = st.tuples(
-    st.just("roundtrip"), st.integers(0, SHARDS - 1), st.sampled_from(CODECS)
-)
+roundtrip_op = st.tuples(st.just("roundtrip"), st.integers(0, SHARDS - 1))
 plans = st.lists(
     st.one_of(update_op, merge_op, roundtrip_op), min_size=1, max_size=24
 )
@@ -71,8 +68,8 @@ def run_plan(make_sketch, plan):
             shards[a].merge(shards[b])
             shards[b] = reference.spawn_sibling()
         else:
-            _, idx, codec = op
-            state = shards[idx].to_state(codec=codec)
+            _, idx = op
+            state = shards[idx].to_state()
             shards[idx] = shards[idx].spawn_sibling().from_state(state)
     folded = shards[0]
     for shard in shards[1:]:
@@ -91,13 +88,13 @@ class TestCountSketchInterleavings:
         assert folded._candidates == reference._candidates
         assert folded.top_candidates() == reference.top_candidates()
 
-    @given(plans, st.sampled_from(CODECS))
+    @given(plans)
     @settings(max_examples=40, deadline=None)
-    def test_final_state_roundtrips_under_every_codec(self, plan, codec):
+    def test_final_state_roundtrips_under_every_codec(self, plan):
         folded, reference = run_plan(
             lambda: CountSketch(3, 16, track=4, seed=202, pool=8), plan
         )
-        revived = folded.spawn_sibling().from_state(folded.to_state(codec=codec))
+        revived = folded.spawn_sibling().from_state(folded.to_state())
         assert np.array_equal(revived._table, reference._table)
         assert revived._candidates == reference._candidates
         assert revived.top_candidates() == reference.top_candidates()
@@ -129,7 +126,7 @@ def run_fleet_plan(root, plan, feed):
     ingesting every update through ``feed(shard, items, deltas)``; return
     the fleet unfolded.  Run once with :func:`fused_feed` and once with
     :func:`oracle_feed` — whatever the interleaving of updates, merges,
-    and codec round-trips, the ingest plan must land on the same bits as
+    and state round-trips, the ingest plan must land on the same bits as
     the per-cell fan-out."""
     shards = [root.spawn_sibling() for _ in range(SHARDS)]
     for op in plan:
@@ -145,8 +142,8 @@ def run_fleet_plan(root, plan, feed):
             shards[a].merge(shards[b])
             shards[b] = root.spawn_sibling()
         else:
-            _, idx, codec = op
-            state = shards[idx].to_state(codec=codec)
+            _, idx = op
+            state = shards[idx].to_state()
             shards[idx] = shards[idx].spawn_sibling().from_state(state)
     return shards
 
@@ -161,7 +158,7 @@ def fold(fleet):
 class TestFusedIngestInterleavings:
     """The fused ingestion plane under the same adversarial interleavings:
     a fused GSum fleet and an oracle fleet replay one plan and must agree
-    bit for bit on the full serialized state.  Every merge and codec
+    bit for bit on the full serialized state.  Every merge and state
     round-trip in the plan exercises a plan-invalidation path (rebound
     tables, replaced sketch lists) mid-stream."""
 
@@ -182,6 +179,6 @@ class TestFusedIngestInterleavings:
             for shard in oracle_fleet
         )
         fused_fold, oracle_fold = fold(fused_fleet), fold(oracle_fleet)
-        assert json.dumps(fused_fold.to_state(codec="dense-json"), sort_keys=True) == \
-            json.dumps(oracle_fold.to_state(codec="dense-json"), sort_keys=True)
+        assert json.dumps(fused_fold.to_state(), sort_keys=True) == \
+            json.dumps(oracle_fold.to_state(), sort_keys=True)
         assert fused_fold.estimate() == oracle_fold.estimate()

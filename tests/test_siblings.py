@@ -115,7 +115,7 @@ def test_protocol_builds_no_hash_family(name, constructions):
     other = _fed(build, second_pass)
     constructions.clear()
     sibling = source.spawn_sibling()
-    state = other.to_state(codec="sparse-binary")
+    state = other.to_state()
     decoded = source.from_state(state)
     dense = source.from_state(other.to_state())
     sibling.merge(decoded).merge(dense)
@@ -167,7 +167,7 @@ def _exercise(passes):
         estimator.update_batch_second_pass(ITEMS, DELTAS)
         sibling = estimator.spawn_sibling()
         sibling.update_batch_second_pass(ITEMS[::3], DELTAS[::3])
-    decoded = estimator.from_state(sibling.to_state(codec="sparse-binary"))
+    decoded = estimator.from_state(sibling.to_state())
     estimator.merge(decoded)
     del estimator, sibling, decoded
 

@@ -35,6 +35,30 @@ class TestRandomSource:
     def test_default_seed_is_stable(self):
         assert RandomSource(None).seed == RandomSource(None).seed
 
+    def test_source_that_never_draws_builds_no_generator(self):
+        root = RandomSource(7, "root")
+        child = root.child("a").child("b")
+        assert root._gen is None and child._gen is None
+
+    def test_draws_follow_the_lineage_whenever_the_first_comes(self):
+        def reference(source):
+            return np.random.default_rng(RandomSource._mix(source.seed, source.label))
+
+        at_once = RandomSource(11, "x")
+        assert np.array_equal(
+            at_once.integers(0, 10 ** 9, size=8),
+            reference(at_once).integers(0, 10 ** 9, size=8),
+        )
+        late = RandomSource(11, "x")
+        grandchild = late.child("a").child("b")
+        assert np.array_equal(
+            late.random(size=4), reference(late).random(size=4)
+        )
+        assert np.array_equal(
+            grandchild.signs(16),
+            reference(grandchild).integers(0, 2, size=16) * 2 - 1,
+        )
+
 
 class TestAsSource:
     def test_accepts_int(self):
