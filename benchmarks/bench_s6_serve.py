@@ -19,7 +19,10 @@ Two tables:
   (fully-ingested) scenario and a live-ingestion scenario where a
   background thread keeps advancing the merge epoch (invalidating the
   cache) while thousands of requests are in flight.  Zero transport
-  errors and epoch-consistent answers are asserted in both.
+  errors and epoch-consistent answers are asserted in both.  The
+  ``live-ingest/refresh`` row runs live ingestion with a positive refresh
+  interval, so snapshots are published by the engine's publisher thread;
+  once ingestion stops the final epoch must be served.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the reduced-size CI version; the
 committed ``bench_baseline.json`` entries are smoke-mode values tracked
@@ -52,6 +55,8 @@ KERNEL_REPEATS = 2 if SMOKE else 5
 
 SERVE_CLIENTS = 20 if SMOKE else 50
 SERVE_REQUESTS = 30 if SMOKE else 100
+#: Refresh interval of the ``live-ingest/refresh`` scenario, in seconds.
+SERVE_REFRESH_S = 0.01
 
 
 def _workload():
@@ -157,7 +162,7 @@ def test_s6_kernel_table():
 
 # -------------------------------------------------------------------- serve
 
-def _serve_scenario(live_ingest: bool) -> dict:
+def _serve_scenario(live_ingest: bool, refresh_interval: float = 0.0) -> dict:
     stream = _workload()
     items, deltas = stream.as_arrays()
     cs = CountSketch(5, 1024, track=16, seed=1)
@@ -185,13 +190,14 @@ def _serve_scenario(live_ingest: bool) -> dict:
     else:
         store.update_batch(items[half:], deltas[half:])
 
-    engine = QueryEngine(store, cache_size=4096)
+    engine = QueryEngine(store, cache_size=4096, refresh_interval=refresh_interval)
     server = SketchServer(engine).start_background()
     # Frequency paths round-robined over a small hot set (cache-friendly,
     # the serving workload the epoch cache exists for) plus heavy hitters.
     rng = np.random.default_rng(7)
     hot = rng.integers(0, N, size=32, dtype=np.int64)
     paths = [f"/frequency/{int(i)}" for i in hot] + ["/heavy-hitters?k=8"]
+    probe = int(hot[0])
     try:
         if ingest is not None:
             ingest.start()
@@ -204,20 +210,30 @@ def _serve_scenario(live_ingest: bool) -> dict:
         if ingest is not None:
             ingest.join(timeout=10.0)
         server.stop_background()
-    assert report.errors == 0, f"serve errors: {report.errors}"
-    assert report.requests == SERVE_CLIENTS * SERVE_REQUESTS
-
-    if not live_ingest:
+    try:
+        assert report.errors == 0, f"serve errors: {report.errors}"
+        assert report.requests == SERVE_CLIENTS * SERVE_REQUESTS
+        if refresh_interval > 0:
+            # Ingestion has stopped: a due query wakes the publisher, and
+            # the final epoch must be served within a bounded wait.
+            deadline = time.monotonic() + 10.0
+            while engine.frequency(probe)["epoch"] != store.epoch:
+                assert time.monotonic() < deadline, "final epoch never served"
+                time.sleep(0.001)
         # Epoch-frozen equality gate: the served answers must equal direct
-        # estimates on a frozen copy of the final state.
-        frozen = store.current().sketch
-        probe = int(hot[0])
+        # estimates on the final state.
         served = engine.frequency(probe)
-        assert served["estimate"] == float(frozen.estimate(probe))
         assert served["epoch"] == store.epoch
+        assert served["estimate"] == float(store.live.estimate(probe))
+    finally:
+        engine.close()
     stats = engine.stats()
+    if refresh_interval > 0:
+        scenario = "live-ingest/refresh"
+    else:
+        scenario = "live-ingest" if live_ingest else "static"
     return {
-        "scenario": "live-ingest" if live_ingest else "static",
+        "scenario": scenario,
         "clients": report.clients,
         "requests": report.requests,
         "queries_per_sec": report.queries_per_sec,
@@ -229,8 +245,12 @@ def _serve_scenario(live_ingest: bool) -> dict:
 
 
 def test_s6_serve_table():
-    rows = [_serve_scenario(live_ingest=False), _serve_scenario(live_ingest=True)]
-    static, live = rows
+    rows = [
+        _serve_scenario(live_ingest=False),
+        _serve_scenario(live_ingest=True),
+        _serve_scenario(live_ingest=True, refresh_interval=SERVE_REFRESH_S),
+    ]
+    static, live, _ = rows
     # The static scenario answers from one frozen epoch: after each distinct
     # path is computed once, everything is a cache hit.
     assert static["cache_hit_rate"] > 0.9, static
@@ -243,5 +263,6 @@ def test_s6_serve_table():
         rows,
         claim="the server sustains thousands of concurrent queries/sec "
         "from lock-free epoch-consistent snapshots, with and without "
-        "live ingestion advancing the merge epoch underneath",
+        "live ingestion advancing the merge epoch underneath, and with "
+        "snapshots published inline or by the publisher thread",
     )

@@ -449,6 +449,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stop.set()
         if ingest_thread is not None:
             ingest_thread.join(timeout=10.0)
+        engine.close()
     stats = engine.stats()
     print(f"served {stats['queries']:,} queries over {store.epoch} epoch(s); "
           f"cache hit rate {stats['cache']['hit_rate']:.1%}")
@@ -588,7 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epoch-keyed LRU result-cache capacity")
     p.add_argument("--refresh-interval", type=float, default=0.0,
                    help="minimum seconds between snapshot refreshes under "
-                        "live ingestion (0 = refresh on every epoch advance)")
+                        "live ingestion.  0 = every query that finds the "
+                        "epoch advanced publishes first, so answers are "
+                        "always current; > 0 = a background thread "
+                        "publishes, woken by the first query this long "
+                        "after the last refresh, and answers are stale by "
+                        "at most one interval plus one publish")
     p.add_argument("--chunk", type=_positive_int, default=4096,
                    help="up-front ingestion chunk size (one epoch each)")
     p.add_argument("--live-chunk", type=int, default=0,

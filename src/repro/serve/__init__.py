@@ -9,9 +9,9 @@ flowing.  The pieces:
     Wraps a live mergeable sketch.  All mutations (``update_batch``,
     round merges) run under a writer lock and advance a monotonically
     increasing **merge epoch**; :meth:`SnapshotStore.snapshot` publishes a
-    copy-on-write frozen sibling (a ``sparse-binary`` state round trip —
-    ~21x smaller than dense JSON) that readers query without ever taking
-    the lock.
+    frozen structural clone (an empty sibling with the live sketch merged
+    in, bit-identical to it) that readers query without ever taking the
+    lock.
 
 :class:`EpochLRUCache`
     A small LRU keyed by ``(epoch, query)``; the whole cache invalidates
@@ -21,7 +21,8 @@ flowing.  The pieces:
 :class:`QueryEngine`
     Snapshot + cache + capability detection (point queries, heavy
     hitters, aggregate g-SUM) behind one object the server and tests
-    share.
+    share.  With a refresh interval it publishes on its own thread, off
+    the request path, and computes the aggregate once per snapshot.
 
 :class:`SketchServer` / :func:`run_load`
     A dependency-free asyncio HTTP/1.1 server exposing ``/estimate``,

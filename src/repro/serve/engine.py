@@ -4,8 +4,9 @@ One object the HTTP server, the load harness, and the tests all share.
 Reads go against an immutable :class:`~repro.serve.snapshot.SketchSnapshot`
 (never the live sketch), results are memoized in an
 :class:`~repro.serve.cache.EpochLRUCache` keyed by the snapshot's epoch,
-and the engine throttles how often it pays the copy-on-write refresh while
-ingestion is advancing the epoch underneath it.
+and the engine decides when a new snapshot is published while ingestion
+is advancing the epoch underneath it: inline on every advance, or on a
+refresh clock by its own publisher thread, off the request path.
 
 Capabilities are detected from the wrapped sketch once:
 
@@ -15,12 +16,17 @@ Capabilities are detected from the wrapped sketch once:
   wrappers).
 * **heavy hitters** — ``top_candidates`` (CountSketch) or ``cover()``
   (the g-heavy-hitter sketches).
-* **aggregate** — a nullary ``estimate()`` (the g-SUM estimators, AMS).
+* **aggregate** — a nullary ``estimate()`` (the g-SUM estimators, AMS),
+  computed at most once per snapshot: by the publisher thread before the
+  snapshot is served, or, at ``refresh_interval == 0``, by the first
+  ``aggregate()`` query on it.
 """
 
 from __future__ import annotations
 
 import inspect
+import logging
+import threading
 import time
 from typing import Sequence
 
@@ -28,6 +34,12 @@ import numpy as np
 
 from repro.serve.cache import EpochLRUCache
 from repro.serve.snapshot import SketchSnapshot, SnapshotStore
+
+logger = logging.getLogger(__name__)
+
+#: Name of the thread that publishes snapshots for an engine with
+#: ``refresh_interval > 0``; the engine starts it and :meth:`close` ends it.
+PUBLISHER_THREAD = "snapshot-publisher"
 
 
 def _required_positional(fn) -> int | None:
@@ -50,6 +62,12 @@ def _required_positional(fn) -> int | None:
 class QueryEngine:
     """Serve queries from epoch-consistent snapshots with an LRU in front.
 
+    A *publish* clones the live sketch (:meth:`SnapshotStore.snapshot`)
+    and serves the clone; the constructor runs the first one.  A sketch's
+    aggregate ``estimate()`` is cached on the snapshot it was computed on,
+    together with the error it raised, if any: a two-pass sketch before
+    its second pass fails ``aggregate()`` and answers its other queries.
+
     Parameters
     ----------
     store:
@@ -57,10 +75,17 @@ class QueryEngine:
     cache_size:
         LRU capacity (entries) of the epoch-keyed result cache.
     refresh_interval:
-        Minimum seconds between copy-on-write snapshot refreshes.  ``0``
-        refreshes whenever the epoch has advanced (every query sees the
-        newest published state); a small positive value bounds snapshot
-        cost under continuous ingestion at the price of bounded staleness.
+        Minimum seconds between snapshot refreshes.  ``0`` publishes
+        inline, on the querying thread, whenever the epoch has advanced,
+        so every query sees the newest state; the first ``aggregate()``
+        query on a snapshot computes its aggregate.  A positive value
+        hands the publish to the engine's publisher thread, which computes
+        the aggregate before it serves the clone: the first query at least
+        this long after the last refresh, with the epoch advanced, wakes
+        it and answers from the snapshot already served.  Answers are then
+        stale by at most one interval plus one publish, never torn, and no
+        query runs a clone or an ``estimate()``.  :meth:`close` stops the
+        thread.
     """
 
     def __init__(
@@ -74,6 +99,10 @@ class QueryEngine:
         self.refresh_interval = float(refresh_interval)
         self._last_refresh = float("-inf")
         self.queries = 0
+        self._publish_lock = threading.Lock()  # one publish at a time
+        self._wake = threading.Event()
+        self._closed = False
+        self._served: SketchSnapshot | None = None
         live = store.live
         estimate = getattr(live, "estimate", None)
         arity = None if estimate is None else _required_positional(estimate)
@@ -90,6 +119,28 @@ class QueryEngine:
         else:
             self._hh_attr = None
         self._aggregate = estimate is not None and arity == 0
+        self._publish()
+        self._publisher: threading.Thread | None = None
+        if self.refresh_interval > 0:
+            self._publisher = threading.Thread(
+                target=self._run_publisher, name=PUBLISHER_THREAD, daemon=True
+            )
+            self._publisher.start()
+
+    def close(self) -> None:
+        """Stop the publisher thread once the publish it may be running
+        ends.  Queries still answer afterwards; with ``refresh_interval >
+        0`` they keep the last snapshot served."""
+        self._closed = True
+        self._wake.set()
+        if self._publisher is not None:
+            self._publisher.join()
+
+    def __enter__(self) -> "QueryEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -------------------------------------------------------- capabilities
 
@@ -108,18 +159,64 @@ class QueryEngine:
     # ----------------------------------------------------------- snapshots
 
     def snapshot(self) -> SketchSnapshot:
-        """The snapshot queries run against.  Refreshes (pays one
-        copy-on-write) only when the epoch advanced *and* the refresh
-        throttle allows; otherwise returns the published snapshot
-        lock-free."""
-        current = self.store.current()
-        if current.epoch == self.store.epoch:
-            return current
+        """The snapshot queries run against, read lock-free.  When the
+        epoch has advanced, ``refresh_interval == 0`` publishes inline
+        first; otherwise a query a refresh interval after the last one
+        wakes the publisher thread, and every query returns the snapshot
+        already served."""
+        served = self._served
+        if served.epoch == self.store.epoch:
+            return served
+        if self.refresh_interval <= 0:
+            return self._publish()
         now = time.monotonic()
-        if now - self._last_refresh < self.refresh_interval:
-            return current
-        self._last_refresh = now
-        return self.store.snapshot()
+        if now - self._last_refresh >= self.refresh_interval:
+            # Queries racing here may each wake the publisher; wake-ups
+            # that arrive before or during a publish fold into one more,
+            # so the clock needs no lock.
+            self._last_refresh = now
+            self._wake.set()
+        return served
+
+    def _publish(self) -> SketchSnapshot:
+        """Clone the live sketch and serve the clone, unless a snapshot as
+        new is served already.  With a refresh interval the clone's
+        aggregate is computed first."""
+        with self._publish_lock:
+            snap = self.store.snapshot()
+            served = self._served
+            if served is not None and snap.epoch <= served.epoch:
+                return served
+            if self.refresh_interval > 0:
+                self._compute_aggregate(snap)
+            self._served = snap
+            return snap
+
+    def _compute_aggregate(self, snap: SketchSnapshot) -> None:
+        """Cache ``snap``'s aggregate, or the error computing it raised,
+        unless either is cached already.  The caller holds
+        ``_publish_lock``, so it runs at most once per snapshot."""
+        done = snap.aggregate is not None or snap.aggregate_error is not None
+        if done or not self._aggregate:
+            return
+        try:
+            snap.aggregate = float(snap.sketch.estimate())
+        except Exception as exc:  # the snapshot still answers other queries
+            snap.aggregate_error = exc
+
+    def _run_publisher(self) -> None:
+        while True:
+            self._wake.wait()
+            self._wake.clear()
+            if self._closed:  # set before close() wakes us, so never missed
+                return
+            try:
+                self._publish()
+            except Exception:  # the served snapshot stays; the next refresh retries
+                logger.exception(
+                    "snapshot publish failed; still serving epoch %d",
+                    self._served.epoch,
+                )
 
     # ------------------------------------------------------------- queries
 
@@ -182,20 +279,25 @@ class QueryEngine:
         return {"heavy_hitters": cached, "epoch": snap.epoch}
 
     def aggregate(self) -> dict:
-        """The sketch's whole-stream estimate (g-SUM, F2, ...)."""
+        """The sketch's whole-stream estimate (g-SUM, F2, ...), computed
+        once per snapshot.  ``LookupError`` when the snapshot's
+        ``estimate()`` raised, chained to that error."""
         if not self._aggregate:
             raise LookupError(
                 f"{type(self.store.live).__name__} does not expose an "
                 "aggregate estimate()"
             )
         self.queries += 1
-        key = ("agg",)
         snap = self.snapshot()
-        cached = self.cache.get(snap.epoch, key)
-        if cached is None:
-            cached = float(snap.sketch.estimate())
-            self.cache.put(snap.epoch, key, cached)
-        return {"estimate": cached, "epoch": snap.epoch}
+        if snap.aggregate is None and snap.aggregate_error is None:
+            with self._publish_lock:
+                self._compute_aggregate(snap)
+        if snap.aggregate_error is not None:
+            raise LookupError(
+                f"no aggregate estimate at epoch {snap.epoch}: "
+                f"{snap.aggregate_error}"
+            ) from snap.aggregate_error
+        return {"estimate": snap.aggregate, "epoch": snap.epoch}
 
     # --------------------------------------------------------------- admin
 
@@ -204,7 +306,7 @@ class QueryEngine:
             "status": "ok",
             "sketch": type(self.store.live).__name__,
             "epoch": self.store.epoch,
-            "snapshot_epoch": self.store.current().epoch,
+            "snapshot_epoch": self._served.epoch,
             "queries": self.queries,
         }
 
@@ -212,7 +314,7 @@ class QueryEngine:
         return {
             "queries": self.queries,
             "epoch": self.store.epoch,
-            "snapshot_epoch": self.store.current().epoch,
+            "snapshot_epoch": self._served.epoch,
             "cache": self.cache.stats(),
             "capabilities": {
                 "frequency": self.supports_frequency,

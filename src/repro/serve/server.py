@@ -16,6 +16,8 @@ the load harness.  Endpoints:
 
 Every JSON answer carries the ``epoch`` of the snapshot that produced it,
 so clients can detect staleness and tests can assert epoch consistency.
+A connection that takes longer than :data:`READ_TIMEOUT` to deliver a
+request, idle keep-alive included, is closed.
 
 The server can run in the foreground (:meth:`SketchServer.serve_forever`,
 what ``repro serve`` does) or on a background thread with its own event
@@ -37,6 +39,13 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Serv
 #: Largest request body read (and discarded), in bytes: asyncio's own
 #: stream limit.  Every route is a GET, so no valid request comes near it.
 MAX_BODY = 1 << 16
+
+#: Seconds a connection may take to deliver one request, from the wait
+#: for its request line until its headers and body are read; then it is
+#: closed.  This bounds an idle keep-alive connection and a half-sent
+#: request alike.  Every client in this repository sends its next request
+#: within milliseconds.
+READ_TIMEOUT = 30.0
 
 
 class SketchServer:
@@ -119,20 +128,28 @@ class SketchServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        loop = asyncio.get_running_loop()
         try:
             while True:
+                # One timer per request, not a task per line: when it fires
+                # the transport closes, and the reader sees end of stream.
+                # Routing never awaits, so cancelling after it is as good
+                # as cancelling once the request is read.
+                deadline = loop.call_later(READ_TIMEOUT, writer.transport.close)
                 try:
                     request = await self._read_request(reader)
                 except ValueError as exc:  # answered, then the connection closes
                     status, payload, keep_alive = 400, {"error": str(exc)}, False
                 else:
-                    if request is None:
+                    if request is None or writer.transport.is_closing():
                         break
                     method, target, keep_alive = request
                     if method != "GET":
                         status, payload = 400, {"error": "GET only"}
                     else:
                         status, payload = self._route(target)
+                finally:
+                    deadline.cancel()
                 body = json.dumps(payload, separators=(",", ":")).encode()
                 head = (
                     f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"

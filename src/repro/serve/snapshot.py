@@ -6,16 +6,18 @@ The concurrency model is writer-locked, reader-lock-free:
   ``mutate(fn)`` — runs under one writer lock and advances a monotonically
   increasing **merge epoch**.
 * :meth:`SnapshotStore.snapshot` publishes an immutable
-  :class:`SketchSnapshot`: the live state is *encoded* under the lock (the
-  cheap part — ``sparse-binary`` states are ~21x smaller than dense JSON)
-  and *decoded* into an independent frozen sibling outside it, so ingestion
-  stalls only for the serialization, never for the decode.  The sibling
-  shares the live sketch's immutable hash families and none of its
-  mutable state.
+  :class:`SketchSnapshot`: a structural clone of the live sketch, made
+  under the lock by spawning an empty sibling and merging the live sketch
+  into it.  The sketches are linear over fixed hash families and their
+  candidate pools are functions of the item set, so the clone's state is
+  the live state bit for bit, with no codec round trip.  The clone shares
+  the live sketch's immutable hash families and none of its mutable
+  state.
 * Readers hold a reference to a published snapshot and query it with plain
   attribute reads — no lock, no torn tables.  A snapshot is forever
   consistent with the epoch stamped on it; freshness is the caller's
-  policy (:class:`repro.serve.engine.QueryEngine` throttles refreshes).
+  policy (:class:`repro.serve.engine.QueryEngine` publishes on a
+  request-driven refresh clock, off the request path).
 """
 
 from __future__ import annotations
@@ -33,13 +35,18 @@ class SketchSnapshot:
     live sketch as of ``epoch``.  The sketch is an independent sibling —
     it shares the live one's immutable hash families but no mutable state
     (tables, pools, counters, memos), so concurrent ingestion cannot tear
-    it."""
+    it.  ``aggregate`` caches the sketch's whole-stream ``estimate()``,
+    or ``aggregate_error`` the exception it raised, once
+    :class:`~repro.serve.engine.QueryEngine` has computed it; both stay
+    ``None`` until then, and for sketches without one."""
 
-    __slots__ = ("epoch", "sketch")
+    __slots__ = ("epoch", "sketch", "aggregate", "aggregate_error")
 
     def __init__(self, epoch: int, sketch: MergeableSketch):
         self.epoch = int(epoch)
         self.sketch = sketch
+        self.aggregate: float | None = None
+        self.aggregate_error: Exception | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SketchSnapshot(epoch={self.epoch}, {type(self.sketch).__name__})"
@@ -49,12 +56,10 @@ class SnapshotStore:
     """Serializes writers, frees readers.
 
     ``live`` is the sketch being ingested into (any
-    :class:`MergeableSketch`).  Snapshots round-trip it through the
-    ``sparse-binary`` codec, which keeps their cost proportional to the
-    *occupied* state, not the table dimensions.  The decode spawns one
-    sibling of the live sketch and loads the state into it in place: the
-    snapshot shares the live sketch's immutable hash families and none of
-    its mutable state, and builds no hash family.
+    :class:`MergeableSketch`).  A snapshot is ``live.spawn_sibling()``
+    with ``live`` merged into it, under the writer lock: it shares the
+    live sketch's immutable hash families and none of its mutable state,
+    and builds no hash family.
     """
 
     def __init__(self, live: MergeableSketch):
@@ -112,22 +117,20 @@ class SnapshotStore:
         """An immutable snapshot at the *current* epoch.
 
         Fast path: when the published snapshot is already current this is
-        a plain attribute read.  Otherwise one caller pays the
-        copy-on-write: encode under the lock, decode outside it, publish.
-        Concurrent mutations during the decode are fine — the snapshot is
-        stamped with the epoch its state belongs to.
+        a plain attribute read.  Otherwise one caller pays the copy: under
+        the writer lock, an empty sibling with the live sketch merged into
+        it, stamped with the epoch whose state it holds.  A caller that
+        waited for the lock while another published returns that one.
         """
         published = self._published
         if published is not None and published.epoch == self._epoch:
             return published
         with self._lock:
-            epoch = self._epoch
-            state = self._live.to_state()
-        frozen = SketchSnapshot(epoch, self._live.from_state(state))
-        with self._lock:
-            if self._published is None or self._published.epoch < epoch:
-                self._published = frozen
-            return self._published if self._published.epoch >= epoch else frozen
+            published = self._published
+            if published is None or published.epoch < self._epoch:
+                clone = self._live.spawn_sibling().merge(self._live)
+                published = self._published = SketchSnapshot(self._epoch, clone)
+            return published
 
     def current(self) -> SketchSnapshot:
         """The last *published* snapshot without forcing a refresh — always

@@ -18,6 +18,9 @@ Five properties, enforced bit-for-bit:
 * **Sibling isolation** — spawned and decoded siblings share hash
   families with their source but no mutable state: writing either side
   leaves the other's state bytes as they were.
+* **Structural clone** — an empty sibling with the source merged into it
+  (how a snapshot is published) equals the source and its codec round
+  trip byte for byte, and shares none of the source's mutable state.
 """
 
 import json
@@ -312,6 +315,39 @@ class TestSiblingIsolation:
         assert _state_bytes(receiver) == before
 
 
+def _clone(source):
+    """What a snapshot publish builds: an empty sibling with ``source``
+    merged into it."""
+    return source.spawn_sibling().merge(source)
+
+
+def _round_trip(source):
+    return source.from_state(loads_state(_state_bytes(source)))
+
+
+@pytest.mark.parametrize("build,observe", CASES, ids=IDS)
+class TestStructuralClone:
+    """The clone a snapshot publish makes equals the codec round trip it
+    replaced, byte for byte, and is as isolated from the source as any
+    sibling."""
+
+    def test_clone_equals_source_and_round_trip(self, build, observe):
+        source = drive(build(), iter(SECOND_HALF))
+        for update in FIRST_HALF[:50]:
+            source.update(update.item, update.delta)
+        clone, round_trip = _clone(source), _round_trip(source)
+        assert _state_bytes(clone) == _state_bytes(source)
+        assert _state_bytes(clone) == _state_bytes(round_trip)
+        assert observe(clone) == observe(source) == observe(round_trip)
+
+    def test_writing_the_source_leaves_the_clone(self, build, observe):
+        source = drive(build(), iter(FIRST_HALF))
+        clone = _clone(source)
+        before = _state_bytes(clone)
+        _write_everything(source, build)
+        assert _state_bytes(clone) == before
+
+
 TWO_PASS_BUILDS = {
     "two_pass_hh": lambda: TwoPassGHeavyHitter(G2, 0.1, 0.1, N, seed=5),
     "gsum_two_pass": lambda: GSumEstimator(
@@ -346,6 +382,29 @@ def test_second_pass_siblings_share_no_tabulation(name, how):
     before = _state_bytes(sibling)
     _write_second_pass(source)
     assert _state_bytes(sibling) == before
+
+
+TWO_PASS_OBSERVE = {
+    "two_pass_hh": lambda s: s.cover(),
+    "gsum_two_pass": lambda s: s.estimate(),
+    "universal_two_pass": lambda s: s.estimate(G2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PASS_BUILDS))
+def test_second_pass_clone_equals_source_and_round_trip(name):
+    """Mid–second pass, fed by batch and scalar updates, the clone equals
+    the source and its codec round trip byte for byte."""
+    source = drive(TWO_PASS_BUILDS[name](), STREAM)
+    source.begin_second_pass()
+    drive_second_pass(source, iter(SECOND_HALF))
+    for update in FIRST_HALF[:50]:
+        source.update_second_pass(update.item, update.delta)
+    clone, round_trip = _clone(source), _round_trip(source)
+    assert _state_bytes(clone) == _state_bytes(source)
+    assert _state_bytes(clone) == _state_bytes(round_trip)
+    observe = TWO_PASS_OBSERVE[name]
+    assert observe(clone) == observe(source) == observe(round_trip)
 
 
 class TestTwoPassSharding:

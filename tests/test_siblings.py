@@ -1,10 +1,10 @@
 """Cheap siblings: the mergeable protocol reuses hash families in process.
 
 * **No re-derivation** — an in-process ``spawn_sibling``, ``from_state``,
-  ``merge`` or ``to_state`` constructs no hash family and no
-  :class:`~repro.util.rng.RandomSource`; a spawned sibling holds the
-  source's own family objects.  Only unpickling rebuilds from the lineage,
-  exactly once.
+  ``merge``, ``to_state`` or snapshot publish constructs no hash family
+  and no :class:`~repro.util.rng.RandomSource`; a spawned sibling holds
+  the source's own family objects.  Only unpickling rebuilds from the
+  lineage, exactly once.
 * **No cyclic garbage** — building, feeding, spawning, encoding, decoding,
   merging and dropping an estimator leaves nothing for the cyclic garbage
   collector, so the tables are freed as soon as the last reference goes.
@@ -27,6 +27,7 @@ from repro.core.heavy_hitters import OnePassGHeavyHitter
 from repro.core.recursive_sketch import RecursiveGSumSketch
 from repro.core.universal import TwoPassUniversalSketch, UniversalGSumSketch
 from repro.functions.library import moment
+from repro.serve import SnapshotStore
 from repro.sketch.base import MergeableSketch
 from repro.sketch.hashing import (
     BernoulliHash,
@@ -121,6 +122,22 @@ def test_protocol_builds_no_hash_family(name, constructions):
     sibling.merge(decoded).merge(dense)
     source.merge(sibling)
     assert sum(constructions.values()) == 0, dict(constructions)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_publish_builds_no_hash_family(name, constructions):
+    """A snapshot publish is a spawn plus a merge: neither the first
+    publish nor one after a further chunk builds a family or a source."""
+    build, second_pass = CASES[name]
+    store = SnapshotStore(_fed(build, second_pass))
+    feed = "update_batch_second_pass" if second_pass else "update_batch"
+    constructions.clear()
+    first = store.snapshot()
+    store.mutate(lambda live: getattr(live, feed)(ITEMS[::3], DELTAS[::3]))
+    second = store.snapshot()
+    assert (first.epoch, second.epoch) == (0, 1)
+    assert sum(constructions.values()) == 0, dict(constructions)
+    assert second.sketch.to_state() == store.live.to_state()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
